@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from .fm import (
+    EnumerationLimitError,
     InfeasibleSystemError,
     SystemParseError,
     enumerate_integer_projection,
@@ -26,6 +27,7 @@ from .regions import (
     corner_points,
     frac_to_json,
     integer_points,
+    is_bounded,
     achievable_region,
     outer_bound_region,
     region_to_jsonable,
@@ -43,12 +45,28 @@ def _params(args) -> ChannelParams:
     return ChannelParams(args.nc, args.ns, args.nr, args.nf)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+_level = _int_at_least(0)
+
+
 def _add_params(parser: argparse.ArgumentParser, with_nf: bool = True) -> None:
-    parser.add_argument("--nc", type=int, required=True, help="cross link levels")
-    parser.add_argument("--ns", type=int, required=True, help="source-relay levels")
-    parser.add_argument("--nr", type=int, required=True, help="relay-destination levels")
+    parser.add_argument("--nc", type=_level, required=True, help="cross link levels")
+    parser.add_argument("--ns", type=_level, required=True, help="source-relay levels")
+    parser.add_argument("--nr", type=_level, required=True, help="relay-destination levels")
     if with_nf:
-        parser.add_argument("--nf", type=int, default=0, help="feedback levels (default 0)")
+        parser.add_argument("--nf", type=_level, default=0, help="feedback levels (default 0)")
 
 
 def _corners_str(p: ChannelParams) -> str:
@@ -198,7 +216,14 @@ def cmd_fm_check(args) -> int:
     except InfeasibleSystemError:
         print(json.dumps({"infeasible": True}))
         return 1
-    oracle = enumerate_integer_projection(system, r1_def, r2_def, bound=args.oracle_bound)
+    if not is_bounded(projected):
+        print(f"error: {args.system}: the projection onto (R1, R2) is unbounded", file=sys.stderr)
+        return 2
+    try:
+        oracle = enumerate_integer_projection(system, r1_def, r2_def, bound=args.oracle_bound)
+    except EnumerationLimitError as e:
+        print(f"error: {args.system}: {e}", file=sys.stderr)
+        return 2
     inside = integer_points(projected)
     payload = {
         "system_vars": list(system.vars),
@@ -227,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p_sim)
     p_sim.add_argument("--r1", type=int, required=True, help="target rate of source 1")
     p_sim.add_argument("--r2", type=int, required=True, help="target rate of source 2")
-    p_sim.add_argument("--blocks", type=int, default=64, help="message blocks N (default 64)")
+    p_sim.add_argument("--blocks", type=_int_at_least(3), default=64,
+                       help="message blocks N, at least 3 (default 64)")
     p_sim.add_argument("--seed", type=int, default=1, help="message PRNG seed")
     p_sim.add_argument("--trace", type=str, default=None, help="write the full trace to this path")
     p_sim.add_argument("--scheme-json", type=str, default=None,
@@ -244,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ng = sub.add_parser("netgain", help="sum capacity and net feedback gain per nf")
     _add_params(p_ng, with_nf=False)
-    p_ng.add_argument("--nf-max", type=int, default=4, help="largest feedback strength to tabulate")
+    p_ng.add_argument("--nf-max", type=_level, default=4, help="largest feedback strength to tabulate")
     p_ng.set_defaults(fn=cmd_netgain)
 
     p_fm = sub.add_parser("fm-check", help="project a fixture system and compare to enumeration")

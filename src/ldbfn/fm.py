@@ -7,6 +7,16 @@ negative coefficient (the implicit ``-var <= 0`` counts as negative), which
 projects the polyhedron exactly.  All arithmetic is integer after clearing
 denominators, so nothing is ever rounded.
 
+Redundant rows are pruned by history (Chernikov's rule, as compared in
+Imbert, "Fourier's elimination: which to choose?", PPCP 1993).  Each row
+carries the set of original rows it is a non-negative combination of: the
+system's inequalities, the rate definitions and each ``-var <= 0`` added
+when ``var`` is eliminated.  After k eliminations a row whose history has
+more than k + 1 members is implied by the others and is never formed.  No
+other pruning happens between steps, since dropping a dominated row could
+break that argument; the final 2-D :func:`canonicalize` removes what is
+left over.
+
 A brute-force companion, :func:`enumerate_integer_projection`, walks every
 non-negative integer assignment and records the achieved rate pairs.  It is
 intentionally independent of the elimination path and serves as its oracle.
@@ -24,6 +34,9 @@ from .regions import Halfspace, RateRegion, canonicalize
 
 # A row is (coeffs, bound) with integer coeffs aligned to a var tuple.
 Row = tuple[tuple[int, ...], int]
+# During elimination a row also carries its history: a bitmask of the
+# original rows it is a non-negative combination of.
+HistRow = tuple[tuple[int, ...], int, int]
 
 ENUMERATION_LIMIT = 10**8
 
@@ -81,12 +94,11 @@ def _to_rows(vars: tuple[str, ...], ineqs: Iterable[LinearIneq]) -> list[Row]:
         for d in denoms:
             lcm = lcm * d // gcd(lcm, d)
         coeffs = tuple(int(q.coeffs.get(v, 0) * lcm) for v in vars)
-        rows.append(_normalize((coeffs, int(q.bound * lcm))))
+        rows.append(_normalize(coeffs, int(q.bound * lcm)))
     return rows
 
 
-def _normalize(row: Row) -> Row:
-    coeffs, b = row
+def _normalize(coeffs: tuple[int, ...], b: int) -> Row:
     g = 0
     for c in coeffs:
         g = gcd(g, abs(c))
@@ -97,103 +109,60 @@ def _normalize(row: Row) -> Row:
     return (coeffs, b)
 
 
-def _dominates(r: Row, s: Row) -> bool:
-    """r implies s for non-negative vars: coeffs(r) >= coeffs(s), bound(r) <= bound(s)."""
-    (rc, rb), (sc, sb) = r, s
-    return rb <= sb and all(a >= b for a, b in zip(rc, sc))
+def _eliminate_rows(rows: list[HistRow], step: int, unit_bit: int) -> list[HistRow]:
+    """The ``step``-th elimination (1-based): project out column 0, then drop it.
 
-
-def _implied_by_pair(target: Row, s: Row, t: Row) -> bool:
-    """Is target implied by a non-negative rational combination of s and t?
-
-    Solves lambda*s + mu*t == target exactly on coordinate pairs and checks
-    the remaining coordinates and the bound; all integer arithmetic with the
-    solution kept as (lam_n/det, mu_n/det).
+    Every row with a positive coefficient on the variable ``v`` is paired
+    with every row with a negative one and with the implicit ``-v <= 0``,
+    which joins the original rows here under ``unit_bit``.  A derived row
+    whose history has more than ``step + 1`` bits is redundant (Chernikov's
+    rule), so such pairs are never formed; rows merge only when coefficients,
+    bound and history all agree.  Raises :class:`InfeasibleSystemError` on a
+    derived ``0 <= negative``.
     """
-    (tc, tb), (sc, sb), (uc, ub) = target, s, t
-    n = len(tc)
-    for k1 in range(n):
-        for k2 in range(k1 + 1, n):
-            det = sc[k1] * uc[k2] - sc[k2] * uc[k1]
-            if det == 0:
-                continue
-            lam_n = tc[k1] * uc[k2] - tc[k2] * uc[k1]
-            mu_n = sc[k1] * tc[k2] - sc[k2] * tc[k1]
-            if det < 0:
-                det, lam_n, mu_n = -det, -lam_n, -mu_n
-            if lam_n < 0 or mu_n < 0:
-                continue
-            if lam_n * sb + mu_n * ub > tb * det:
-                continue
-            if all(lam_n * sc[i] + mu_n * uc[i] >= tc[i] * det for i in range(n)):
-                return True
-    return False
-
-
-def _prune(rows: list[Row], deep: bool = False) -> list[Row]:
-    """Drop trivial, duplicate and dominated rows; optionally pair-implied ones."""
-    best: dict[tuple[int, ...], int] = {}
-    infeasible: list[Row] = []
-    for coeffs, b in rows:
-        if not any(coeffs):
-            if b < 0:
-                infeasible.append((coeffs, b))
-            continue
-        if coeffs not in best or b < best[coeffs]:
-            best[coeffs] = b
-    out = [(c, b) for c, b in best.items()]
-    kept = [r for r in out if not any(s != r and _dominates(s, r) for s in out)]
-    if deep and len(kept) > 12:
-        slim: list[Row] = []
-        for i, r in enumerate(kept):
-            others = slim + kept[i + 1:]
-            implied = any(
-                _implied_by_pair(r, others[a], others[b])
-                for a in range(len(others))
-                for b in range(a, len(others))
-            )
-            if not implied:
-                slim.append(r)
-        kept = slim
-    return sorted(infeasible + kept)
-
-
-def _eliminate_rows(rows: list[Row], idx: int, nvars: int) -> list[Row]:
-    pos, neg, zero = [], [], []
+    if not rows:
+        return []
+    unit = ((-1,) + (0,) * (len(rows[0][0]) - 1), 0, unit_bit)
+    pos, neg, out = [], [unit], set()
     for row in rows:
-        c = row[0][idx]
-        (pos if c > 0 else neg if c < 0 else zero).append(row)
-    # Implicit non-negativity of the eliminated variable: -v <= 0.
-    unit = tuple(-1 if i == idx else 0 for i in range(nvars))
-    neg.append((unit, 0))
-    combined = list(zero)
-    for pc, pb in pos:
-        for nc, nb in neg:
-            mp, mn = -nc[idx], pc[idx]
-            coeffs = tuple(mp * a + mn * b for a, b in zip(pc, nc))
-            combined.append(_normalize((coeffs, mp * pb + mn * nb)))
-    return _prune(combined, deep=True)
+        c = row[0][0]
+        if c > 0:
+            pos.append(row)
+        elif c < 0:
+            neg.append(row)
+        else:
+            out.add((row[0][1:], row[1], row[2]))
+    for pc, pb, ph in pos:
+        for nc, nb, nh in neg:
+            h = ph | nh
+            if h.bit_count() > step + 1:
+                continue
+            mp, mn = -nc[0], pc[0]
+            coeffs = tuple(mp * a + mn * b for a, b in zip(pc[1:], nc[1:]))
+            out.add(_normalize(coeffs, mp * pb + mn * nb) + (h,))
+    kept = []
+    for coeffs, b, h in sorted(out):
+        if any(coeffs):
+            kept.append((coeffs, b, h))
+        elif b < 0:
+            raise InfeasibleSystemError("system is infeasible")
+    return kept
 
 
-def _drop_var(rows: list[Row], idx: int) -> list[Row]:
-    return [ (r[0][:idx] + r[0][idx + 1:], r[1]) for r in rows ]
+def _with_history(rows: list[Row]) -> list[HistRow]:
+    """Tag each original row with its own history bit."""
+    return [(coeffs, b, 1 << i) for i, (coeffs, b) in enumerate(rows)]
 
 
 def eliminate(system: IneqSystem, var: str) -> IneqSystem:
     """One exact elimination step; the result never references ``var``."""
     if var not in system.vars:
         raise ValueError(f"variable {var!r} not declared in system")
-    idx = system.vars.index(var)
-    rows = _eliminate_rows(_to_rows(system.vars, system.ineqs), idx, len(system.vars))
-    rows = _drop_var(rows, idx)
-    new_vars = system.vars[:idx] + system.vars[idx + 1:]
-    ineqs = []
-    for coeffs, b in rows:
-        if any(coeffs):
-            ineqs.append(LinearIneq.of(dict(zip(new_vars, coeffs)), b))
-        elif b < 0:
-            raise InfeasibleSystemError("elimination produced 0 <= negative")
-    return IneqSystem(new_vars, tuple(ineqs))
+    new_vars = tuple(v for v in system.vars if v != var)
+    rows = _with_history(_to_rows((var,) + new_vars, system.ineqs))
+    rows = _eliminate_rows(rows, 1, 1 << len(rows))
+    unique = dict.fromkeys((coeffs, b) for coeffs, b, _ in rows)
+    return IneqSystem(new_vars, tuple(LinearIneq.of(dict(zip(new_vars, c)), b) for c, b in unique))
 
 
 def _check_defs(system: IneqSystem, name: str, d: Mapping[str, int]) -> None:
@@ -219,37 +188,20 @@ def project_to_rates(
     _check_defs(system, "r1_def", r1_def)
     _check_defs(system, "r2_def", r2_def)
     vars = system.vars + ("R1", "R2")
-    nv = len(vars)
-    rows = _to_rows(vars, [LinearIneq.of({**q.coeffs}, q.bound) for q in system.ineqs])
+    rows = _to_rows(vars, system.ineqs)
+    for rate, d in (("R1", r1_def), ("R2", r2_def)):
+        fwd = tuple(-1 if v == rate else d.get(v, 0) for v in vars)
+        rows += [(fwd, 0), (tuple(-c for c in fwd), 0)]
+    n_orig = len(rows)
+    rows = _with_history(rows)
+    for step in range(1, len(system.vars) + 1):
+        rows = _eliminate_rows(rows, step, 1 << (n_orig + step - 1))
 
-    def eq_rows(rate_idx: int, d: Mapping[str, int]) -> list[Row]:
-        coeffs = [0] * nv
-        for v, c in d.items():
-            coeffs[vars.index(v)] = c
-        coeffs[rate_idx] = -1
-        fwd = tuple(coeffs)
-        bwd = tuple(-c for c in coeffs)
-        return [(fwd, 0), (bwd, 0)]
-
-    rows += eq_rows(nv - 2, r1_def)
-    rows += eq_rows(nv - 1, r2_def)
-
-    live = list(range(nv))
-    for v in system.vars:
-        pos = live.index(vars.index(v))
-        rows = _eliminate_rows(rows, pos, len(live))
-        rows = _drop_var(rows, pos)
-        live.pop(pos)
-
-    halfspaces = []
-    for coeffs, b in rows:
-        a1, a2 = coeffs
-        if a1 == 0 and a2 == 0:
-            if b < 0:
-                raise InfeasibleSystemError("system is infeasible")
-            continue
-        halfspaces.append(Halfspace(Fraction(a1), Fraction(a2), Fraction(b)))
-    return canonicalize(RateRegion(tuple(halfspaces)))
+    # An infeasible system has already raised: the rows derived from its
+    # inequalities alone are those of their own elimination, which ends in
+    # 0 <= negative.  So the region here is never empty.
+    halfspaces = tuple(Halfspace(Fraction(a1), Fraction(a2), Fraction(b)) for (a1, a2), b, _ in rows)
+    return canonicalize(RateRegion(halfspaces))
 
 
 def enumerate_integer_projection(

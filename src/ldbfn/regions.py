@@ -153,18 +153,20 @@ def _vertices(constraints: tuple[Halfspace, ...]) -> list[RatePoint]:
     ]
 
 
-def _recession_direction(constraints: tuple[Halfspace, ...]) -> tuple[int, int] | None:
-    """A nonzero quadrant direction along which the region is unbounded, if any."""
+def _recession_rays(constraints: tuple[Halfspace, ...]) -> list[tuple[int, int]]:
+    """Quadrant directions along which the region is unbounded; empty if bounded.
+
+    In 2-D each extreme ray of the recession cone is an axis direction or lies
+    along some constraint's boundary, so the candidates found in the cone
+    include both extreme rays.
+    """
     rows = _int_rows(constraints) + [(-1, 0, 0), (0, -1, 0)]
     candidates = {(1, 0), (0, 1)}
     for a1, a2, _ in rows:
         for d in ((a2, -a1), (-a2, a1)):
             if d[0] >= 0 and d[1] >= 0 and (d[0] > 0 or d[1] > 0):
                 candidates.add(d)
-    for d in candidates:
-        if all(a1 * d[0] + a2 * d[1] <= 0 for a1, a2, _ in rows):
-            return d
-    return None
+    return [d for d in candidates if all(a1 * d[0] + a2 * d[1] <= 0 for a1, a2, _ in rows)]
 
 
 def _max_over(constraints: tuple[Halfspace, ...], a1: Fraction, a2: Fraction):
@@ -172,8 +174,7 @@ def _max_over(constraints: tuple[Halfspace, ...], a1: Fraction, a2: Fraction):
     verts = _vertices(constraints)
     if not verts:
         raise RegionError("empty region")
-    d = _recession_direction(constraints)
-    if d is not None and a1 * d[0] + a2 * d[1] > 0:
+    if any(a1 * d[0] + a2 * d[1] > 0 for d in _recession_rays(constraints)):
         return None
     return max(a1 * p.r1 + a2 * p.r2 for p in verts)
 
@@ -223,6 +224,19 @@ def _edge_halfspace(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[i
     return (a1 // g, a2 // g, b // g) if g > 1 else (a1, a2, b)
 
 
+def _point(t: tuple[int, int, int]) -> RatePoint:
+    return RatePoint(Fraction(t[0], t[2]), Fraction(t[1], t[2]))
+
+
+def _collinear_facets(p: RatePoint, d1: Fraction, d2: Fraction, q: RatePoint | None) -> list[Halfspace]:
+    """The line through p along (d1, d2), from both sides, capped at p and at q if given."""
+    line = d2 * p.r1 - d1 * p.r2
+    out = [Halfspace(d2, -d1, line), Halfspace(-d2, d1, -line), Halfspace(-d1, -d2, -(d1 * p.r1 + d2 * p.r2))]
+    if q is not None:
+        out.append(Halfspace(d1, d2, d1 * q.r1 + d2 * q.r2))
+    return sorted({h.normalized() for h in out if not _axis_implied(h)})
+
+
 def _facets_from_vertices(verts: list[tuple[int, int, int]]) -> list[Halfspace]:
     """Minimal halfspace description of the convex hull of vertex triples.
 
@@ -231,7 +245,7 @@ def _facets_from_vertices(verts: list[tuple[int, int, int]]) -> list[Halfspace]:
     """
     out: list[Halfspace] = []
     if len(verts) == 1:
-        p = RatePoint(Fraction(verts[0][0], verts[0][2]), Fraction(verts[0][1], verts[0][2]))
+        p = _point(verts[0])
         out.append(hs(1, 0, p.r1))
         out.append(hs(0, 1, p.r2))
         if p.r1 > 0:
@@ -240,18 +254,8 @@ def _facets_from_vertices(verts: list[tuple[int, int, int]]) -> list[Halfspace]:
             out.append(hs(0, -1, -p.r2))
         return sorted(set(h.normalized() for h in out))
     if len(verts) == 2:
-        p, q = (RatePoint(Fraction(v[0], v[2]), Fraction(v[1], v[2])) for v in verts)
-        d1, d2 = q.r1 - p.r1, q.r2 - p.r2
-        # The carrier line, from both sides, plus the far end caps.
-        for h in (
-            Halfspace(d2, -d1, d2 * p.r1 - d1 * p.r2),
-            Halfspace(-d2, d1, -(d2 * p.r1 - d1 * p.r2)),
-            Halfspace(d1, d2, d1 * q.r1 + d2 * q.r2),
-            Halfspace(-d1, -d2, -(d1 * p.r1 + d2 * p.r2)),
-        ):
-            if not _axis_implied(h):
-                out.append(h.normalized())
-        return sorted(set(out))
+        p, q = _point(verts[0]), _point(verts[1])
+        return _collinear_facets(p, q.r1 - p.r1, q.r2 - p.r2, q)
     ccw = _hull_ccw(verts)
     for i, p in enumerate(ccw):
         a1, a2, b = _edge_halfspace(p, ccw[(i + 1) % len(ccw)])
@@ -263,10 +267,11 @@ def _facets_from_vertices(verts: list[tuple[int, int, int]]) -> list[Halfspace]:
 def canonicalize(region: RateRegion) -> RateRegion:
     """Remove every halfspace implied by the others plus non-negativity.
 
-    Bounded regions are rebuilt from their vertex set, which makes the
-    result a function of the point set alone (idempotent, deterministic,
-    sorted by (a1, a2, b)).  Unbounded regions keep an irredundant subset
-    of the given halfspaces.
+    Bounded regions are rebuilt from their vertex set and half-lines from
+    their end point and direction, which makes the result a function of the
+    point set alone (idempotent, deterministic, sorted by (a1, a2, b)).
+    Other unbounded regions are full-dimensional and keep the irredundant
+    subset of the given halfspaces, their facets, which is unique as well.
     """
     cleaned: dict[tuple, Halfspace] = {}
     for h in region.halfspaces:
@@ -280,8 +285,12 @@ def canonicalize(region: RateRegion) -> RateRegion:
     verts = _vertex_triples(_int_rows(constraints))
     if not verts:
         raise RegionError("region is empty")
-    if _recession_direction(constraints) is None:
+    rays = _recession_rays(constraints)
+    if not rays:
         return RateRegion(tuple(_facets_from_vertices(verts)))
+    d1, d2 = rays[0]
+    if len(verts) == 1 and all(e1 * d2 == e2 * d1 for e1, e2 in rays):
+        return RateRegion(tuple(_collinear_facets(_point(verts[0]), Fraction(d1), Fraction(d2), None)))
     # Unbounded: drop any halfspace the remaining ones still imply.
     kept = list(constraints)
     changed = True
@@ -297,7 +306,7 @@ def canonicalize(region: RateRegion) -> RateRegion:
 
 
 def is_bounded(region: RateRegion) -> bool:
-    return _recession_direction(region.halfspaces) is None
+    return not _recession_rays(region.halfspaces)
 
 
 def corner_points(region: RateRegion) -> list[RatePoint]:

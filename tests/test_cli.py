@@ -8,12 +8,23 @@ import pytest
 from ldbfn.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(capsys, *argv):
+    """Exit 2 with exactly one error: line on stderr and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err
+    return err
 
 
 class TestRegion:
@@ -40,6 +51,10 @@ class TestRegion:
         with pytest.raises(SystemExit) as exc:
             main(["region", "--nc", "2"])
         assert exc.value.code == 2
+
+    def test_negative_level_is_usage_error(self, capsys):
+        err = assert_usage_error(capsys, "region", "--nc", "-1", "--ns", "1", "--nr", "1")
+        assert "--nc" in err
 
 
 class TestSimulate:
@@ -71,6 +86,13 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)["delivered_bits"] == [0, 0]
+
+    def test_too_few_blocks_is_usage_error(self, capsys):
+        err = assert_usage_error(
+            capsys, "simulate", "--nc", "2", "--ns", "3", "--nr", "1", "--nf", "1",
+            "--r1", "1", "--r2", "1", "--blocks", "2",
+        )
+        assert "--blocks" in err
 
 
 class TestSweep:
@@ -114,6 +136,10 @@ class TestNetGain:
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[3] for r in rows[1:]] == ["-", "0", "0"]
 
+    def test_negative_nf_max_is_usage_error(self, capsys):
+        err = assert_usage_error(capsys, "netgain", "--nc", "2", "--ns", "1", "--nr", "3", "--nf-max", "-1")
+        assert "--nf-max" in err
+
 
 class TestFmCheck:
     @pytest.mark.parametrize("name", [
@@ -155,3 +181,24 @@ class TestFmCheck:
         assert code == 0
         assert payload["projection"]["corners"] == [[0, 0]]
         assert payload["oracle_points"] == [[0, 0]]
+
+    def test_unbounded_projection_exit_two(self, capsys, tmp_path):
+        fixture = tmp_path / "unbounded.txt"
+        fixture.write_text("x + y <= 3\nR1 = x\nR2 = z\n")
+        code, out, err = run_cli(capsys, "fm-check", "--system", str(fixture))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "unbounded" in err
+
+    def test_enumeration_limit_exit_two(self, capsys, tmp_path):
+        fixture = tmp_path / "wide.txt"
+        fixture.write_text("a + b + c + d + e + f + g + h + i <= 10\nR1 = a\nR2 = b\n")
+        code, out, err = run_cli(capsys, "fm-check", "--system", str(fixture))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "combinations" in err
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.txt")))
+    def test_output_matches_golden(self, capsys, name):
+        codes = json.loads((GOLDEN / "fm_check_exit_codes.json").read_text())
+        code, out, _ = run_cli(capsys, "fm-check", "--system", str(FIXTURES / name))
+        assert code == codes[name]
+        assert out.encode() == (GOLDEN / f"fm_check_{name.removesuffix('.txt')}.stdout").read_bytes()

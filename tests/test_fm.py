@@ -1,3 +1,8 @@
+import random
+from fractions import Fraction
+from functools import reduce
+from math import gcd
+
 import pytest
 
 from ldbfn import (
@@ -17,7 +22,7 @@ from ldbfn import (
     regions_equal,
 )
 from ldbfn.fm import EnumerationLimitError
-from ldbfn.regions import RateRegion, hs
+from ldbfn.regions import Halfspace, RateRegion, canonicalize, hs, is_bounded
 
 
 def ineq(coeffs, bound):
@@ -103,6 +108,63 @@ class TestProjectToRates:
         system = IneqSystem(("x",), (ineq({"x": 1}, 1),))
         with pytest.raises(ValueError):
             project_to_rates(system, {"x": -1}, {"x": 1})
+
+
+def reference_projection(system, r1_def, r2_def):
+    """Textbook FM onto (R1, R2): every pair is formed, only exact duplicates merge."""
+    vars = system.vars + ("R1", "R2")
+    rows = {(tuple(int(q.coeffs.get(v, 0)) for v in vars), int(q.bound)) for q in system.ineqs}
+    for rate, d in (("R1", r1_def), ("R2", r2_def)):
+        fwd = tuple(-1 if v == rate else d.get(v, 0) for v in vars)
+        rows |= {(fwd, 0), (tuple(-c for c in fwd), 0)}
+    rows |= {(tuple(-(j == i) for j in range(len(vars))), 0) for i in range(len(system.vars))}
+    for i in range(len(system.vars)):
+        pos = [r for r in rows if r[0][i] > 0]
+        neg = [r for r in rows if r[0][i] < 0]
+        rows = {r for r in rows if r[0][i] == 0}
+        for (pc, pb), (nc, nb) in ((p, n) for p in pos for n in neg):
+            mp, mn = -nc[i], pc[i]
+            row = tuple(mp * a + mn * b for a, b in zip(pc, nc)) + (mp * pb + mn * nb,)
+            g = reduce(gcd, row) or 1
+            rows.add((tuple(x // g for x in row[:-1]), row[-1] // g))
+    if any(not any(c) and b < 0 for c, b in rows):
+        raise InfeasibleSystemError("0 <= negative")
+    halfspaces = tuple(Halfspace(Fraction(c[-2]), Fraction(c[-1]), Fraction(b)) for c, b in rows if any(c))
+    return canonicalize(RateRegion(halfspaces))
+
+
+def projection_outcome(project, case):
+    try:
+        return project(*case).halfspaces
+    except InfeasibleSystemError:
+        return "infeasible"
+
+
+def random_system(rng):
+    """Up to 4 vars and 5 inequalities (3 with 4 vars); larger ones blow the reference up."""
+    names = tuple(f"x{i}" for i in range(rng.randint(1, 4)))
+    ineqs = []
+    for _ in range(rng.randint(0, 5 if len(names) < 4 else 3)):
+        coeffs = {v: rng.randint(-2, 3) for v in names if rng.random() < 0.7}
+        if any(coeffs.values()):
+            ineqs.append(ineq(coeffs, rng.randint(-3, 6)))
+    r1_def, r2_def = ({v: rng.randint(0, 2) for v in names if rng.random() < 0.6} for _ in range(2))
+    return IneqSystem(names, tuple(ineqs)), r1_def, r2_def
+
+
+class TestHistoryPruning:
+    def test_matches_unpruned_reference_on_random_systems(self):
+        rng = random.Random(2026)
+        kinds = {"bounded": 0, "unbounded": 0, "infeasible": 0}
+        for _ in range(1000):
+            case = random_system(rng)
+            expected = projection_outcome(reference_projection, case)
+            assert projection_outcome(project_to_rates, case) == expected, case
+            if expected == "infeasible":
+                kinds["infeasible"] += 1
+            else:
+                kinds["bounded" if is_bounded(RateRegion(expected)) else "unbounded"] += 1
+        assert min(kinds.values()) >= 50, kinds
 
 
 class TestEnumeration:

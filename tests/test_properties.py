@@ -22,7 +22,7 @@ from ldbfn import (
     regions_equal,
     unpack,
 )
-from ldbfn.fm import IneqSystem, _eliminate_rows, _drop_var, _to_rows
+from ldbfn.fm import IneqSystem, eliminate
 from ldbfn.regions import Halfspace, canonicalize, corner_points
 
 
@@ -105,12 +105,10 @@ def test_elimination_order_independence():
 def test_full_elimination_leaves_only_trivial_constants():
     for p in (ChannelParams(2, 1, 3, 0), ChannelParams(2, 3, 1, 1)):
         system = constraint_system(regime_of(p), p)
-        rows = _to_rows(system.vars, system.ineqs)
-        n = len(system.vars)
-        for _ in range(n):
-            rows = _drop_var(_eliminate_rows(rows, 0, n), 0)
-            n -= 1
-        assert all(not any(coeffs) and b >= 0 for coeffs, b in rows) or rows == []
+        for v in system.vars:
+            system = eliminate(system, v)
+        # Trivial rows 0 <= b are dropped, and 0 <= negative would raise.
+        assert system.vars == () and system.ineqs == ()
 
 
 def test_region_monotonicity_over_lattice():

@@ -114,6 +114,22 @@ class TestCanonicalize:
         b = canonicalize(RateRegion((hs(2, 2, 4), hs(1, 0, 2), hs(1, 1, 2))))
         assert a == b
 
+    def test_unbounded_keeps_halfspace_needed_along_another_ray(self):
+        # Without R2 <= 3*R1 the cone gains the ray (0, 1), along which
+        # -3*R1 + R2 grows; the ray (2, 3) alone would call it bounded.
+        raw = RateRegion((hs(-3, 1, 0), hs(3, -2, 13)))
+        region = canonicalize(raw)
+        assert set(region.halfspaces) == set(raw.halfspaces)
+        assert not region.contains((0, 7))
+
+    def test_half_line_representation_independent(self):
+        # The half-line R2 = 2*R1, R1 >= 1, capped by R2 >= R1 + 1 or by R2 >= 2.
+        ray = (hs(-2, 1, 0), hs(2, -1, 0))
+        a = canonicalize(RateRegion(ray + (hs(1, -1, -1),)))
+        b = canonicalize(RateRegion(ray + (hs(0, -1, -2),)))
+        assert a == b
+        assert a.contains((1, 2)) and a.contains((5, 10)) and not a.contains((0, 0))
+
 
 class TestCorners:
     def test_pentagon_walk_order(self):
