@@ -11,7 +11,6 @@ from .gf2 import (
     channel_step,
     pack,
     shift_receive,
-    superpose,
     unpack,
 )
 from .regions import (
@@ -52,7 +51,6 @@ from .schemes import (
     build_scheme,
     constraint_system,
     rate_definitions,
-    scheme_for_target,
 )
 from .simulator import (
     MessageSet,

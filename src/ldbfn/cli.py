@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import ExitStack, nullcontext
 from fractions import Fraction
 from itertools import product
 
@@ -36,7 +36,7 @@ from .regions import (
     sum_capacity,
 )
 from .schemes import InfeasibleTargetError, allocate, build_scheme, rate_definitions, constraint_system
-from .simulator import run, integer_corners, sweep_threads
+from .simulator import run, integer_corners, parallel_map
 
 SWEEP_COLUMNS = ["nc", "ns", "nr", "nf", "regime", "sum_capacity", "net_gain", "thm2_equal", "corners"]
 
@@ -59,6 +59,12 @@ def _int_at_least(low: int):
 
 
 _level = _int_at_least(0)
+
+
+def _input_error(message: object) -> int:
+    """Report bad input as one ``error:`` line on stderr; returns exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _add_params(parser: argparse.ArgumentParser, with_nf: bool = True) -> None:
@@ -118,13 +124,17 @@ def cmd_simulate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     scheme = build_scheme(p, alloc)
-    if args.scheme_json:
-        with open(args.scheme_json, "w") as fh:
-            json.dump(scheme.to_jsonable(), fh, indent=2, sort_keys=True)
-    trace, report = run(scheme, n_blocks=args.blocks, seed=args.seed)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace.dump())
+    with ExitStack() as stack:
+        try:  # open both outputs before the run, so a bad path fails at once
+            scheme_fh = stack.enter_context(open(args.scheme_json, "w")) if args.scheme_json else None
+            trace_fh = stack.enter_context(open(args.trace, "w")) if args.trace else None
+        except OSError as e:
+            return _input_error(e)
+        if scheme_fh:
+            json.dump(scheme.to_jsonable(), scheme_fh, indent=2, sort_keys=True)
+        trace, report = run(scheme, n_blocks=args.blocks, seed=args.seed)
+        if trace_fh:
+            trace_fh.write(trace.dump())
     print(json.dumps(report.to_jsonable(), indent=2))
     return 0 if not report.errors else 1
 
@@ -157,32 +167,22 @@ def _sweep_row(job: tuple[tuple[int, int, int, int], bool]) -> dict:
 def sweep_rows(max_level: int, with_oracle: bool = False):
     """Rows in lattice order; LDBFN_THREADS > 1 fans tuples out to workers."""
     jobs = [(tup, with_oracle) for tup in product(range(max_level + 1), repeat=4)]
-    threads = sweep_threads()
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(_sweep_row, jobs, chunksize=32)
-    else:
-        for job in jobs:
-            yield _sweep_row(job)
+    yield from parallel_map(_sweep_row, jobs, chunksize=32)
 
 
 def cmd_sweep(args) -> int:
     columns = SWEEP_COLUMNS + (["fm_oracle_equal"] if args.oracle else [])
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=columns)
-    writer.writeheader()
+    try:
+        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    except OSError as e:
+        return _input_error(e)
     all_ok = True
-    for row in sweep_rows(args.max, with_oracle=args.oracle):
-        all_ok = all_ok and row["thm2_equal"] and row.get("fm_oracle_equal", True)
-        writer.writerow({k: row[k] for k in columns})
-    text = out.getvalue()
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        for row in sweep_rows(args.max, with_oracle=args.oracle):
+            all_ok = all_ok and row["thm2_equal"] and row.get("fm_oracle_equal", True)
+            writer.writerow({k: row[k] for k in columns})
     return 0 if all_ok else 1
 
 
@@ -204,26 +204,22 @@ def cmd_fm_check(args) -> int:
         with open(args.system) as fh:
             text = fh.read()
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _input_error(e)
     try:
         system, r1_def, r2_def = parse_system(text)
     except SystemParseError as e:
-        print(f"error: {args.system}: {e}", file=sys.stderr)
-        return 2
+        return _input_error(f"{args.system}: {e}")
     try:
         projected = project_to_rates(system, r1_def, r2_def)
     except InfeasibleSystemError:
         print(json.dumps({"infeasible": True}))
         return 1
     if not is_bounded(projected):
-        print(f"error: {args.system}: the projection onto (R1, R2) is unbounded", file=sys.stderr)
-        return 2
+        return _input_error(f"{args.system}: the projection onto (R1, R2) is unbounded")
     try:
         oracle = enumerate_integer_projection(system, r1_def, r2_def, bound=args.oracle_bound)
     except EnumerationLimitError as e:
-        print(f"error: {args.system}: {e}", file=sys.stderr)
-        return 2
+        return _input_error(f"{args.system}: {e}")
     inside = integer_points(projected)
     payload = {
         "system_vars": list(system.vars),
@@ -275,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fm = sub.add_parser("fm-check", help="project a fixture system and compare to enumeration")
     p_fm.add_argument("--system", type=str, required=True, help="fixture file path")
-    p_fm.add_argument("--oracle-bound", type=int, default=None,
+    p_fm.add_argument("--oracle-bound", type=_int_at_least(0), default=None,
                       help="enumeration bound override (default: max inequality bound)")
     p_fm.set_defaults(fn=cmd_fm_check)
     return parser

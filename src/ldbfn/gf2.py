@@ -1,10 +1,11 @@
 """GF(2) signal layer of the symmetric linear deterministic butterfly network.
 
 Every signal is a binary column vector of length ``q``, indexed 1..q from the
-top (most significant level) down.  A link of strength ``n`` delivers the top
-``n`` levels of the transmitted vector onto the bottom ``n`` levels of the
-receiver; everything below level ``n`` of the transmitter falls under the
-receiver's noise floor.  Addition of colliding signals is componentwise XOR.
+top down and held as a q-bit int whose most significant bit is level 1.  A
+link of strength ``n`` delivers the top ``n`` levels of the transmitted vector
+onto the bottom ``n`` levels of the receiver, a right shift by ``q - n``;
+everything below level ``n`` of the transmitter falls under the receiver's
+noise floor.  Addition of colliding signals is the XOR of the words.
 
 The five-node topology: two sources (nodes 1, 2), one full-duplex relay
 (node 0) and two destinations (nodes 3, 4).  There are no direct
@@ -18,44 +19,78 @@ strength ``nf``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 
 class LayoutError(ValueError):
     """A signal layout or a pack/unpack request is inconsistent."""
 
 
-@dataclass(frozen=True)
 class BitVector:
-    """Length-q column vector over GF(2); bits[0] is the top level."""
+    """Length-q column vector over GF(2) as a q-bit ``word``; treat it as immutable.
 
-    bits: tuple[int, ...]
+    ``BitVector(bits)`` checks every entry of a 0/1 tuple, top level first;
+    the internal :meth:`from_word` only checks that the word fits in q bits.
+    """
 
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("BitVector entries must be 0 or 1")
+    __slots__ = ("word", "q")
+
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        word = 0
+        for b in bits:
+            if b not in (0, 1):
+                raise ValueError("BitVector entries must be 0 or 1")
+            word = word << 1 | b
+        self.word = word
+        self.q = len(bits)
+
+    @classmethod
+    def from_word(cls, word: int, q: int) -> "BitVector":
+        if not 0 <= word < 1 << q:
+            raise ValueError(f"word {word} does not fit in {q} bits")
+        v = object.__new__(cls)
+        v.word = word
+        v.q = q
+        return v
 
     @classmethod
     def zero(cls, q: int) -> "BitVector":
-        return cls((0,) * q)
+        return cls.from_word(0, q)
 
     @classmethod
     def from_string(cls, s: str) -> "BitVector":
-        return cls(tuple(int(c) for c in s))
+        if s.strip("01"):  # int(s, 2) alone also takes "_", a sign and whitespace
+            raise ValueError(f"not a string of 0s and 1s: {s!r}")
+        return cls.from_word(int(s, 2) if s else 0, len(s))
 
     def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.word, f"0{self.q}b") if self.q else ""
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(map(int, self.to_string()))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.q
 
     def __xor__(self, other: "BitVector") -> "BitVector":
-        if len(other) != len(self):
+        if other.q != self.q:
             raise ValueError("length mismatch in XOR")
-        return BitVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        return BitVector.from_word(self.word ^ other.word, self.q)
 
     def is_zero(self) -> bool:
-        return not any(self.bits)
+        return not self.word
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitVector):
+            return NotImplemented
+        return self.word == other.word and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.word, self.q))
+
+    def __repr__(self) -> str:
+        return f"BitVector(bits={self.bits!r})"
 
 
 @dataclass(frozen=True)
@@ -118,20 +153,10 @@ def shift_receive(x: BitVector, n: int) -> BitVector:
     every other output position is 0 (the down-shift by q-n of the q x q
     shift matrix).  n = q is the identity, n = 0 annihilates.
     """
-    q = len(x)
+    q = x.q
     if not 0 <= n <= q:
         raise ValueError(f"link strength {n} outside [0, {q}]")
-    return BitVector((0,) * (q - n) + x.bits[:n])
-
-
-def superpose(xs: Sequence[BitVector]) -> BitVector:
-    """Componentwise XOR of one or more equal-length vectors."""
-    if not xs:
-        raise ValueError("superpose needs at least one vector")
-    out = xs[0]
-    for x in xs[1:]:
-        out = out ^ x
-    return out
+    return BitVector.from_word(x.word >> (q - n), q)
 
 
 def channel_step(inputs: NetworkInputs, params: ChannelParams) -> NetworkOutputs:
@@ -143,14 +168,16 @@ def channel_step(inputs: NetworkInputs, params: ChannelParams) -> NetworkOutputs
     y4 = S^(q-nc) x1 + S^(q-nr) xr
     """
     q = params.q
-    for name in ("x1", "x2", "xr", "xf"):
-        if len(getattr(inputs, name)) != q:
-            raise ValueError(f"{name} must have length q={q}")
-    y0 = shift_receive(inputs.x1 ^ inputs.x2, params.ns)
-    yf = shift_receive(inputs.xf, params.nf)
-    relay_part = shift_receive(inputs.xr, params.nr)
-    y3 = shift_receive(inputs.x2, params.nc) ^ relay_part
-    y4 = shift_receive(inputs.x1, params.nc) ^ relay_part
+    if not inputs.x1.q == inputs.x2.q == inputs.xr.q == inputs.xf.q == q:
+        name = next(n for n in ("x1", "x2", "xr", "xf") if getattr(inputs, n).q != q)
+        raise ValueError(f"{name} must have length q={q}")
+    x1, x2 = inputs.x1.word, inputs.x2.word
+    relay = inputs.xr.word >> (q - params.nr)
+    vector = BitVector.from_word
+    y0 = vector((x1 ^ x2) >> (q - params.ns), q)
+    yf = vector(inputs.xf.word >> (q - params.nf), q)
+    y3 = vector((x2 >> (q - params.nc)) ^ relay, q)
+    y4 = vector((x1 >> (q - params.nc)) ^ relay, q)
     return NetworkOutputs(y0=y0, y1=yf, y2=yf, y3=y3, y4=y4)
 
 
@@ -196,25 +223,6 @@ class SignalLayout:
                             f"slots {a.name} and {b.name} intersect without a declared XOR overlap"
                         )
 
-    @classmethod
-    def from_blocks(cls, q: int, blocks: Iterable[tuple[str | None, int]]) -> "SignalLayout":
-        """Build a layout from top-to-bottom (name, length) pairs.
-
-        ``None`` names declare zero padding.  The lengths must sum to q
-        exactly.
-        """
-        slots = []
-        pos = 0
-        for name, length in blocks:
-            if length < 0:
-                raise LayoutError(f"negative block length for {name}")
-            if name is not None:
-                slots.append(Slot(name, pos, length))
-            pos += length
-        if pos != q:
-            raise LayoutError(f"block lengths sum to {pos}, expected q={q}")
-        return cls(q=q, slots=tuple(slots))
-
     def slot(self, name: str) -> Slot:
         for s in self.slots:
             if s.name == name:
@@ -237,14 +245,13 @@ def pack(layout: SignalLayout, segments: Mapping[str, tuple[int, ...]]) -> BitVe
     missing = set(layout.names()) - set(segments)
     if missing:
         raise LayoutError(f"missing segments: {sorted(missing)}")
-    bits = [0] * layout.q
+    word = 0
     for s in layout.slots:
         frag = segments[s.name]
         if len(frag) != s.length:
             raise LayoutError(f"segment {s.name} has length {len(frag)}, slot wants {s.length}")
-        for k, b in enumerate(frag):
-            bits[s.start + k] ^= b & 1
-    return BitVector(tuple(bits))
+        word ^= BitVector(frag).word << (layout.q - s.stop)
+    return BitVector.from_word(word, layout.q)
 
 
 def unpack(layout: SignalLayout, v: BitVector) -> dict[str, tuple[int, ...]]:

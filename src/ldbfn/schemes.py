@@ -212,13 +212,14 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
     system = constraint_system(regime, p)
     r1_def, r2_def = rate_definitions(regime)
     order = ALLOC_ORDER[regime]
-    rows = [(q.coeffs, int(q.bound)) for q in system.ineqs]
+    # All coefficients and bounds are integral: as ints they keep Fractions out of the search.
+    bounds = [int(q.bound) for q in system.ineqs]
+    column = {v: [int(q.coeffs.get(v, 0)) for q in system.ineqs] for v in order}
 
     caps = {}
     for v in order:
         cap = max(t1, t2)
-        for coeffs, b in rows:
-            c = coeffs.get(v, 0)
+        for c, b in zip(column[v], bounds):
             if c > 0:
                 cap = min(cap, b // c if b >= 0 else -1)
         caps[v] = cap
@@ -232,12 +233,13 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
         rest = order[i + 1:]
         max_r1_rest = sum(r1_def.get(u, 0) * caps[u] for u in rest)
         max_r2_rest = sum(r2_def.get(u, 0) * caps[u] for u in rest)
+        a1, a2, coeffs = r1_def.get(v, 0), r2_def.get(v, 0), column[v]
         for val in range(caps[v] + 1):
-            nr1 = r1 + r1_def.get(v, 0) * val
-            nr2 = r2 + r2_def.get(v, 0) * val
+            nr1 = r1 + a1 * val
+            nr2 = r2 + a2 * val
             if nr1 > t1 or nr2 > t2:
                 break
-            new = [s - val * rows[k][0].get(v, 0) for k, s in enumerate(slacks)]
+            new = [s - val * c for s, c in zip(slacks, coeffs)]
             if any(s < 0 for s in new):
                 break
             if nr1 + max_r1_rest < t1 or nr2 + max_r2_rest < t2:
@@ -249,7 +251,7 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
             del assign[v]
         return None
 
-    found = walk(0, {}, [b for _, b in rows], 0, 0)
+    found = walk(0, {}, bounds, 0, 0)
     if found is None:
         raise SchemeError(f"no integer allocation reaches {target} for {p} (regime {regime.value})")
     values = {v: found.get(v, 0) for v in system.vars}
@@ -834,7 +836,3 @@ def build_scheme(p: ChannelParams, alloc: RateAllocation) -> Scheme:
         if lhs > q.bound:
             raise SchemeError(f"allocation {d} violates {q}")
     return _BUILDERS[alloc.regime](p, alloc)
-
-
-def scheme_for_target(p: ChannelParams, target: tuple[int, int]) -> Scheme:
-    return build_scheme(p, allocate(p, target))

@@ -17,17 +17,17 @@ reproducible from (scheme, N, seed) alone.  State update per draw, on
 and the drawn bit is the output's top bit.  A seed of 0 (mod 2^64) is
 replaced by 0x9E3779B97F4A7C15 because the all-zero state is a fixed point.
 Blocks are drawn for block index 1..N in order, message streams in sorted
-name order, bits top level first.
+name order; a block is an int as long as its stream, its first draw (the
+top level) the most significant bit.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .gf2 import BitVector, ChannelParams, NetworkInputs, NetworkOutputs, channel_step
 from .regions import Regime, corner_points, frac_to_json, achievable_region
@@ -62,29 +62,33 @@ class XorShift64Star:
     def bit(self) -> int:
         return self._next_word() >> 63
 
-    def bits(self, n: int) -> tuple[int, ...]:
-        return tuple(self.bit() for _ in range(n))
+    def word(self, n: int) -> int:
+        """``n`` draws as an n-bit word, the first draw most significant."""
+        w = 0
+        for _ in range(n):
+            w = w << 1 | self._next_word() >> 63
+        return w
 
 
 @dataclass(frozen=True)
 class MessageSet:
-    """Per-stream, per-block random payloads with their PRNG provenance."""
+    """Per-stream, per-block random payload words with their PRNG provenance."""
 
     n_blocks: int
     seed: int
-    blocks: Mapping[str, tuple[tuple[int, ...], ...]]
+    blocks: Mapping[str, tuple[int, ...]]
 
-    def block(self, stream: str, idx: int) -> tuple[int, ...]:
+    def block(self, stream: str, idx: int) -> int:
         return self.blocks[stream][idx - 1]
 
 
 def generate_messages(scheme: Scheme, n_blocks: int, seed: int) -> MessageSet:
     rng = XorShift64Star(seed)
     streams = sorted(scheme.message_streams())
-    blocks: dict[str, list[tuple[int, ...]]] = {s: [] for s in streams}
+    blocks: dict[str, list[int]] = {s: [] for s in streams}
     for _ in range(n_blocks):
         for s in streams:
-            blocks[s].append(rng.bits(scheme.stream_lengths[s]))
+            blocks[s].append(rng.word(scheme.stream_lengths[s]))
     return MessageSet(n_blocks, seed, {s: tuple(v) for s, v in blocks.items()})
 
 
@@ -232,21 +236,19 @@ class RunReport:
         }
 
 
-def _expected_block(scheme: Scheme, messages: MessageSet, stream: str, idx: int) -> tuple[int, ...]:
-    length = scheme.stream_lengths[stream]
+def _expected_block(scheme: Scheme, messages: MessageSet, stream: str, idx: int) -> int:
     if stream not in scheme.sums:
         return messages.block(stream, idx)
-    out = [0] * length
-    for part in scheme.sums[stream]:
-        frag = messages.block(part, idx)
-        for k, bit in enumerate(frag):  # parts are top-aligned, zero padded
-            out[k] ^= bit
-    return tuple(out)
+    lengths = scheme.stream_lengths
+    out = 0
+    for part in scheme.sums[stream]:  # parts are top-aligned, zero padded
+        out ^= messages.block(part, idx) << (lengths[stream] - lengths[part])
+    return out
 
 
-def _emit(scheme: Scheme, key: str, store: dict, t: int, n_blocks: int) -> BitVector:
+def _emit(scheme: Scheme, key: str, store: dict, t: int, n_blocks: int, q: int) -> BitVector:
     plan = scheme.transmit[key]
-    bits = [0] * scheme.params.q
+    word = 0
     for b in plan.bindings:
         idx = t + b.offset
         if not 1 <= idx <= n_blocks:
@@ -257,10 +259,11 @@ def _emit(scheme: Scheme, key: str, store: dict, t: int, n_blocks: int) -> BitVe
                 f"encoder for {key} needs {b.stream}[{idx}] at use {t} but it was never stored"
             )
         slot = plan.layout.slot(b.slot)
-        frag = val[b.take:b.take + slot.length]
-        for k, bit in enumerate(frag):
-            bits[slot.start + k] ^= bit
-    return BitVector(tuple(bits))
+        # Block bits [take, take + n), cut at the block's end, top of the slot.
+        rest = scheme.stream_lengths[b.stream] - b.take
+        n = min(slot.length, rest)
+        word ^= ((val >> (rest - n)) & ((1 << n) - 1)) << (q - slot.start - n)
+    return BitVector.from_word(word, q)
 
 
 def _exec_plan(
@@ -274,15 +277,17 @@ def _exec_plan(
     errors: list[DecodeError],
     events: list[DecodeEvent],
 ) -> BitVector:
-    work = list(received.bits)
-    pending: dict[tuple[str, int], list[int]] = {}
+    q = received.q
+    lengths = scheme.stream_lengths
+    work = received.word
+    pending: dict[tuple[str, int], int] = {}
 
-    def lookup(stream: str, idx: int) -> tuple[int, ...]:
-        if stream not in scheme.stream_lengths:  # zero-rate component
-            return ()
+    def lookup(stream: str, idx: int) -> int:
+        if stream not in lengths:  # zero-rate component
+            return 0
         key = (stream, idx)
         if key in pending:
-            return tuple(pending[key])
+            return pending[key]
         if key in store:
             return store[key]
         raise SchemeError(f"node {node} needs {stream}[{idx}] at use {t} before decoding it")
@@ -292,34 +297,28 @@ def _exec_plan(
         if not 1 <= idx <= n_blocks:
             continue
         if isinstance(step, Subtract):
-            val = lookup(step.stream, idx)
-            for k in range(step.length):
-                work[step.pos + k] ^= val[k]
+            head = lookup(step.stream, idx) >> (lengths[step.stream] - step.length)
+            work ^= head << (q - step.pos - step.length)
         elif isinstance(step, Read):
-            buf = pending.setdefault(
-                (step.stream, idx), [0] * scheme.stream_lengths[step.stream]
-            )
-            for k in range(step.length):
-                buf[step.at + k] = work[step.pos + k]
+            key = (step.stream, idx)
+            shift = lengths[step.stream] - step.at - step.length
+            mask = ((1 << step.length) - 1) << shift
+            levels = (work >> (q - step.pos - step.length)) << shift
+            pending[key] = (pending.get(key, 0) & ~mask) | (levels & mask)
         else:  # Combine
-            a = lookup(step.a, idx)
-            b = lookup(step.b, idx)
-            width = max(len(a), len(b))
-            mixed = [
-                (a[k] if k < len(a) else 0) ^ (b[k] if k < len(b) else 0)
-                for k in range(width)
-            ]
-            length = scheme.stream_lengths[step.target]
-            pending[(step.target, idx)] = mixed[:length]
+            a, b = lookup(step.a, idx), lookup(step.b, idx)
+            width_a, width_b = lengths.get(step.a, 0), lengths.get(step.b, 0)
+            width = max(width_a, width_b)
+            mixed = (a << (width - width_a)) ^ (b << (width - width_b))
+            pending[(step.target, idx)] = mixed >> (width - lengths[step.target])
 
-    for (stream, idx), buf in pending.items():
-        value = tuple(buf)
+    for (stream, idx), value in pending.items():
         ok = value == _expected_block(scheme, messages, stream, idx)
         events.append(DecodeEvent(t, node, stream, idx, ok))
         if not ok:
             errors.append(DecodeError(t, node, stream, idx))
         store[(stream, idx)] = value
-    return BitVector(tuple(work))
+    return BitVector.from_word(work, q)
 
 
 def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunReport]:
@@ -332,6 +331,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
         raise ValueError("need at least 3 blocks to exercise the pipeline")
     messages = generate_messages(scheme, n_blocks, seed)
     n_uses = scheme.n_uses(n_blocks)
+    q = scheme.params.q
 
     stores: dict[int, dict] = {n: {} for n in range(5)}
     for stream in scheme.message_streams():
@@ -347,10 +347,10 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
 
     for t in range(1, n_uses + 1):
         inputs = NetworkInputs(
-            x1=_emit(scheme, "x1", stores[1], t, n_blocks),
-            x2=_emit(scheme, "x2", stores[2], t, n_blocks),
-            xr=_emit(scheme, "xr", stores[0], t, n_blocks),
-            xf=_emit(scheme, "xf", stores[0], t, n_blocks),
+            x1=_emit(scheme, "x1", stores[1], t, n_blocks, q),
+            x2=_emit(scheme, "x2", stores[2], t, n_blocks, q),
+            xr=_emit(scheme, "xr", stores[0], t, n_blocks, q),
+            xf=_emit(scheme, "xf", stores[0], t, n_blocks, q),
         )
         outs = channel_step(inputs, scheme.params)
         steps.append(TraceStep(t, inputs, outs))
@@ -375,7 +375,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
                 if got is None:
                     errors.append(DecodeError(0, dest, stream, i))
                 elif got == messages.block(stream, i):
-                    delivered[j] += len(got)
+                    delivered[j] += scheme.stream_lengths[stream]
 
     trace = Trace(
         params=scheme.params,
@@ -455,6 +455,18 @@ def sweep_threads() -> int:
         return 1
 
 
+def parallel_map(fn: Callable, jobs: Iterable, chunksize: int) -> Iterator:
+    """``map(fn, jobs)``; ``LDBFN_THREADS`` > 1 spreads it over worker processes."""
+    threads = sweep_threads()
+    if threads == 1:
+        yield from map(fn, jobs)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(fn, jobs, chunksize=chunksize)
+
+
 def verify_corner_sweep(
     max_levels: int | tuple[int, int, int, int] = 3,
     n_blocks: int = 8,
@@ -473,17 +485,9 @@ def verify_corner_sweep(
         (levels, n_blocks, seed)
         for levels in product(*(range(b + 1) for b in bounds))
     ]
-    threads = sweep_threads()
     n_runs = 0
     failures: list[SweepFailure] = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for count, fails in pool.map(_verify_tuple, jobs, chunksize=16):
-                n_runs += count
-                failures.extend(fails)
-    else:
-        for job in jobs:
-            count, fails = _verify_tuple(job)
-            n_runs += count
-            failures.extend(fails)
+    for count, fails in parallel_map(_verify_tuple, jobs, chunksize=16):
+        n_runs += count
+        failures.extend(fails)
     return SweepSummary(n_params=len(jobs), n_runs=n_runs, failures=tuple(failures))

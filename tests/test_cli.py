@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ldbfn import cli
 from ldbfn.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -25,6 +26,12 @@ def assert_usage_error(capsys, *argv):
     assert exc.value.code == 2
     assert err.count("error:") == 1 and "Traceback" not in err
     return err
+
+
+def assert_error_line(code, out, err):
+    """Exit 2, nothing on stdout, one error: line on stderr and no traceback."""
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
 
 
 class TestRegion:
@@ -94,6 +101,18 @@ class TestSimulate:
         )
         assert "--blocks" in err
 
+    @pytest.mark.parametrize("flag", ["--trace", "--scheme-json"])
+    def test_unwritable_output_fails_before_the_run(self, capsys, tmp_path, monkeypatch, flag):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the scheme ran before its output path was checked")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        code, out, err = run_cli(
+            capsys, "simulate", "--nc", "2", "--ns", "3", "--nr", "1", "--nf", "1",
+            "--r1", "2", "--r2", "1", flag, str(tmp_path / "no" / "file"),
+        )
+        assert_error_line(code, out, err)
+
 
 class TestSweep:
     def test_81_rows_all_true(self, capsys):
@@ -119,6 +138,10 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--max", "0", "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[0].startswith("nc,ns,nr,nf")
+
+    def test_unwritable_out_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--max", "0", "--out", str(tmp_path / "no" / "x.csv"))
+        assert_error_line(code, out, err)
 
 
 class TestNetGain:
@@ -196,9 +219,51 @@ class TestFmCheck:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "combinations" in err
 
+    def test_negative_oracle_bound_is_usage_error(self, capsys):
+        err = assert_usage_error(
+            capsys, "fm-check", "--system", str(FIXTURES / "regime_a_nc2_ns1_nr3.txt"),
+            "--oracle-bound", "-1",
+        )
+        assert "--oracle-bound" in err
+
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.txt")))
     def test_output_matches_golden(self, capsys, name):
         codes = json.loads((GOLDEN / "fm_check_exit_codes.json").read_text())
         code, out, _ = run_cli(capsys, "fm-check", "--system", str(FIXTURES / name))
         assert code == codes[name]
         assert out.encode() == (GOLDEN / f"fm_check_{name.removesuffix('.txt')}.stdout").read_bytes()
+
+
+# One scheme per regime at a corner that runs its full pipeline; the
+# goldens were captured with N=8 and seed 1.
+SIMULATE_GOLDEN_CASES = {
+    "a": ((2, 1, 3, 0), (1, 1)),
+    "b": ((1, 2, 3, 0), (1, 2)),
+    "c": ((6, 3, 1, 1), (2, 2)),
+    "d": ((2, 3, 1, 1), (1, 2)),
+}
+
+
+class TestGoldenOutputs:
+    """Byte-for-byte comparison against outputs captured from earlier code."""
+
+    def test_sweep_matches_golden(self, capsys, tmp_path):
+        target = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(capsys, "sweep", "--max", "4", "--oracle", "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == (GOLDEN / "sweep_max4_oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("regime", sorted(SIMULATE_GOLDEN_CASES))
+    def test_simulate_matches_golden(self, capsys, tmp_path, regime):
+        (nc, ns, nr, nf), (r1, r2) = SIMULATE_GOLDEN_CASES[regime]
+        trace, scheme = tmp_path / "run.trace", tmp_path / "scheme.json"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--nc", str(nc), "--ns", str(ns), "--nr", str(nr), "--nf", str(nf),
+            "--r1", str(r1), "--r2", str(r2), "--blocks", "8", "--seed", "1",
+            "--trace", str(trace), "--scheme-json", str(scheme),
+        )
+        assert code == 0
+        stem = GOLDEN / f"simulate_regime_{regime}"
+        assert out.encode() == stem.with_suffix(".stdout").read_bytes()
+        assert trace.read_bytes() == stem.with_suffix(".trace").read_bytes()
+        assert scheme.read_bytes() == stem.with_suffix(".scheme.json").read_bytes()

@@ -11,7 +11,6 @@ from ldbfn import (
     channel_step,
     pack,
     shift_receive,
-    superpose,
     unpack,
 )
 
@@ -57,23 +56,6 @@ class TestShiftReceive:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             shift_receive(BitVector((1, 0)), 3)
-
-
-class TestSuperpose:
-    def test_xor_pair(self):
-        assert superpose([BitVector((1, 0)), BitVector((1, 1))]) == BitVector((0, 1))
-
-    def test_self_inverse(self):
-        x = BitVector((1, 0, 1, 1))
-        assert superpose([x, x]).is_zero()
-
-    def test_three_way_fold(self):
-        xs = [BitVector((1, 0, 1)), BitVector((0, 1, 1)), BitVector((1, 1, 0))]
-        assert superpose(xs) == BitVector((0, 0, 0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            superpose([])
 
 
 def all_zero_inputs(q):
@@ -138,17 +120,13 @@ class TestChannelStep:
 
 class TestLayout:
     def test_pack_with_padding(self):
-        layout = SignalLayout.from_blocks(3, [("a", 1), (None, 2)])
+        layout = SignalLayout(3, (Slot("a", 0, 1),))
         assert pack(layout, {"a": (1,)}) == BitVector((1, 0, 0))
 
     def test_round_trip(self):
-        layout = SignalLayout.from_blocks(5, [("a", 2), (None, 1), ("b", 2)])
+        layout = SignalLayout(5, (Slot("a", 0, 2), Slot("b", 3, 2)))
         segs = {"a": (1, 0), "b": (0, 1)}
         assert unpack(layout, pack(layout, segs)) == segs
-
-    def test_bad_total_rejected(self):
-        with pytest.raises(LayoutError):
-            SignalLayout.from_blocks(3, [("a", 1), (None, 1)])
 
     def test_undeclared_overlap_rejected(self):
         with pytest.raises(LayoutError):
@@ -169,14 +147,48 @@ class TestLayout:
         assert got["bottom"] == (0, 0, 1)
 
     def test_missing_segment_rejected(self):
-        layout = SignalLayout.from_blocks(2, [("a", 1), ("b", 1)])
+        layout = SignalLayout(2, (Slot("a", 0, 1), Slot("b", 1, 1)))
         with pytest.raises(LayoutError):
             pack(layout, {"a": (1,)})
 
     def test_wrong_length_rejected(self):
-        layout = SignalLayout.from_blocks(2, [("a", 2)])
+        layout = SignalLayout(2, (Slot("a", 0, 2),))
         with pytest.raises(LayoutError):
             pack(layout, {"a": (1,)})
+
+
+class TestWordBoundary:
+    """The q-bit word is checked wherever it is built or read in."""
+
+    def test_word_constructor_checks_width(self):
+        assert BitVector.from_word(6, 3).bits == (1, 1, 0)
+        for word in (-1, 8):
+            with pytest.raises(ValueError):
+                BitVector.from_word(word, 3)
+
+    def test_xor_of_words(self):
+        x = BitVector((1, 0, 1))
+        assert x ^ BitVector((0, 1, 1)) == BitVector((1, 1, 0))
+        assert (x ^ x).is_zero()
+        with pytest.raises(ValueError):
+            x ^ BitVector((1, 0))
+
+    @pytest.mark.parametrize("text", ["1_0", "+1", " 1", "2"])
+    def test_from_string_takes_only_zeros_and_ones(self, text):
+        with pytest.raises(ValueError):
+            BitVector.from_string(text)
+
+    def test_string_round_trip_keeps_leading_zeros(self):
+        v = BitVector.from_string("0010")
+        assert (v.word, len(v), v.to_string()) == (2, 4, "0010")
+
+    @pytest.mark.parametrize("name", ["x1", "x2", "xr", "xf"])
+    def test_channel_step_rejects_wrong_length(self, name):
+        p = ChannelParams(2, 3, 1, 1)
+        inputs = {n: BitVector.zero(p.q) for n in ("x1", "x2", "xr", "xf")}
+        inputs[name] = BitVector((1, 1))  # q - 1 levels: every shift still fits
+        with pytest.raises(ValueError, match=name):
+            channel_step(NetworkInputs(**inputs), p)
 
 
 class TestParams:

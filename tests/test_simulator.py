@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,22 @@ class TestSweep:
         summary = verify_corner_sweep(2, n_blocks=8, seed=3)
         assert summary.ok
         assert summary.n_params == 81
+
+    def test_worker_processes_give_the_serial_result(self, monkeypatch):
+        serial = verify_corner_sweep(1, n_blocks=4)
+        monkeypatch.setenv("LDBFN_THREADS", "2")
+        assert verify_corner_sweep(1, n_blocks=4) == serial
+
+    def test_import_loads_no_process_pool(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import sys, ldbfn, ldbfn.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 MICRO_FIXTURES = [
