@@ -29,6 +29,7 @@ from .regions import (
     integer_points,
     is_bounded,
     achievable_region,
+    net_gain,
     outer_bound_region,
     region_to_jsonable,
     regime_of,
@@ -93,11 +94,10 @@ def _feedback_usage(p: ChannelParams) -> int:
 
 
 def _net_gain_value(p: ChannelParams) -> Fraction:
-    """(sum capacity gain over nf=0) per feedback level actually spent."""
-    gain = sum_capacity(outer_bound_region(p)) - sum_capacity(outer_bound_region(p.with_nf(0)))
-    if gain == 0:
+    """Net gain at ``p``'s feedback strength; 0 without building a scheme when nothing is gained."""
+    if net_gain(p, p.nf, 1) == 0:
         return Fraction(0)
-    return gain / _feedback_usage(p)
+    return net_gain(p, p.nf, _feedback_usage(p))
 
 
 def cmd_region(args) -> int:

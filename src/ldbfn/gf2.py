@@ -212,6 +212,7 @@ class SignalLayout:
         names = [s.name for s in self.slots]
         if len(names) != len(set(names)):
             raise LayoutError(f"duplicate slot names in layout: {names}")
+        object.__setattr__(self, "_by_name", {s.name: s for s in self.slots})
         for s in self.slots:
             if s.length < 0 or s.start < 0 or s.stop > self.q:
                 raise LayoutError(f"slot {s.name} [{s.start},{s.stop}) outside [0,{self.q})")
@@ -224,10 +225,10 @@ class SignalLayout:
                         )
 
     def slot(self, name: str) -> Slot:
-        for s in self.slots:
-            if s.name == name:
-                return s
-        raise LayoutError(f"no slot named {name}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise LayoutError(f"no slot named {name}") from None
 
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots)

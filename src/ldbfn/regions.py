@@ -1,9 +1,14 @@
 """Exact capacity-region algebra for the butterfly network with relay feedback.
 
-All region arithmetic is exact rational (``fractions.Fraction``); equality of
-polytopes is decided, never approximated.  A :class:`RateRegion` is the set
-of non-negative rate pairs (R1, R2) satisfying a list of halfspaces
-``a1*R1 + a2*R2 <= b``; the non-negativity constraints are implicit.
+A :class:`RateRegion` is the set of non-negative rate pairs (R1, R2)
+satisfying a list of halfspaces ``a1*R1 + a2*R2 <= b``; the non-negativity
+constraints are implicit.  ``fractions.Fraction`` appears only at the API
+(the :class:`Halfspace` fields, :class:`RatePoint`, :meth:`RateRegion.contains`
+and the JSON shapes).  Inside, each halfspace is a primitive integer row
+``(a1, a2, b)`` and each vertex a projective integer triple ``(n1, n2, d)``
+standing for ``(n1/d, n2/d)`` with ``d > 0``, so every comparison is an
+exact integer cross-multiplication and equality of polytopes is decided,
+never approximated.
 
 The closed forms implemented here:
 
@@ -30,13 +35,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .gf2 import ChannelParams
 
-Rat = Fraction
-ZERO = Fraction(0)
+Row = tuple[int, int, int]  # a1*R1 + a2*R2 <= b, primitive integers
+Vertex = tuple[int, int, int]  # (n1/d, n2/d), d > 0, gcd-reduced
 
 
 class RegionError(ValueError):
@@ -46,9 +51,6 @@ class RegionError(ValueError):
 class RatePoint(NamedTuple):
     r1: Fraction
     r2: Fraction
-
-
-ORIGIN = RatePoint(ZERO, ZERO)
 
 
 @dataclass(frozen=True, order=True)
@@ -69,25 +71,9 @@ class Halfspace:
     def holds(self, p: RatePoint) -> bool:
         return self.value(p) <= self.b
 
-    def normalized(self) -> "Halfspace":
-        """Scale by a positive rational to primitive integer coefficients."""
-        denoms = [self.a1.denominator, self.a2.denominator, self.b.denominator]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // gcd(lcm, d)
-        a1, a2, b = (int(x * lcm) for x in (self.a1, self.a2, self.b))
-        g = gcd(gcd(abs(a1), abs(a2)), abs(b))
-        if g > 1:
-            a1, a2, b = a1 // g, a2 // g, b // g
-        return Halfspace(Fraction(a1), Fraction(a2), Fraction(b))
-
 
 def hs(a1: int | Fraction, a2: int | Fraction, b: int | Fraction) -> Halfspace:
     return Halfspace(Fraction(a1), Fraction(a2), Fraction(b))
-
-
-# Implicit quadrant constraints -R1 <= 0 and -R2 <= 0.
-_AXES = (hs(-1, 0, 0), hs(0, -1, 0))
 
 
 @dataclass(frozen=True)
@@ -103,26 +89,45 @@ class RateRegion:
         return all(h.holds(pt) for h in self.halfspaces)
 
 
-def _int_rows(constraints: tuple[Halfspace, ...]) -> list[tuple[int, int, int]]:
-    """Clear denominators: each halfspace as an integer (a1, a2, b) triple."""
-    rows = []
-    for h in constraints:
-        lcm = 1
-        for d in (h.a1.denominator, h.a2.denominator, h.b.denominator):
-            lcm = lcm * d // gcd(lcm, d)
-        rows.append((int(h.a1 * lcm), int(h.a2 * lcm), int(h.b * lcm)))
-    return rows
+def _primitive(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Divide an integer triple by the gcd of its entries (not all zero)."""
+    g = gcd(a, b, c)
+    return (a // g, b // g, c // g) if g > 1 else (a, b, c)
 
 
-def _vertex_triples(rows: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """Feasible pairwise intersections as projective (num1, num2, den) triples.
+def _int_row(h: Halfspace) -> Row:
+    """h scaled by a positive rational to primitive integer coefficients."""
+    a1, a2, b = h.a1, h.a2, h.b
+    if a1.denominator == a2.denominator == b.denominator == 1:
+        return _primitive(a1.numerator, a2.numerator, b.numerator)
+    m = lcm(a1.denominator, a2.denominator, b.denominator)
+    return _primitive(*(x.numerator * (m // x.denominator) for x in (a1, a2, b)))
+
+
+def _rows(region: RateRegion) -> list[Row]:
+    return [_int_row(h) for h in region.halfspaces]
+
+
+def _region(rows) -> RateRegion:
+    """Integer rows back to the public Fraction form, sorted by (a1, a2, b)."""
+    return RateRegion(tuple(hs(*row) for row in sorted(rows)))
+
+
+def _axis_implied(row: Row) -> bool:
+    """True when the quadrant alone implies the row (a1 <= 0, a2 <= 0, b >= 0)."""
+    return row[0] <= 0 and row[1] <= 0 and row[2] >= 0
+
+
+def _vertex_triples(rows: list[Row]) -> set[Vertex]:
+    """Feasible pairwise intersections of the rows and the two axes.
 
     In 2-D these are exactly the vertices.  Integer arithmetic throughout:
     den > 0 and feasibility is decided by cross-multiplication, so nothing
-    is ever rounded.  Sorted by (r1, r2).
+    is ever rounded.  The triples are gcd-reduced, so equal points give
+    equal triples and the set depends on the point set alone.
     """
     rows = rows + [(-1, 0, 0), (0, -1, 0)]
-    pts: set[tuple[int, int, int]] = set()
+    pts: set[Vertex] = set()
     n = len(rows)
     for i in range(n):
         a1, a2, b1 = rows[i]
@@ -137,30 +142,18 @@ def _vertex_triples(rows: list[tuple[int, int, int]]) -> list[tuple[int, int, in
                 det, num1, num2 = -det, -num1, -num2
             if any(r1 * num1 + r2 * num2 > rb * det for r1, r2, rb in rows):
                 continue
-            g = gcd(gcd(abs(num1), abs(num2)), det)
-            pts.add((num1 // g, num2 // g, det // g))
-
-    def key(t):
-        return (Fraction(t[0], t[2]), Fraction(t[1], t[2]))
-
-    return sorted(pts, key=key)
+            pts.add(_primitive(num1, num2, det))
+    return pts
 
 
-def _vertices(constraints: tuple[Halfspace, ...]) -> list[RatePoint]:
-    return [
-        RatePoint(Fraction(n1, d), Fraction(n2, d))
-        for n1, n2, d in _vertex_triples(_int_rows(constraints))
-    ]
-
-
-def _recession_rays(constraints: tuple[Halfspace, ...]) -> list[tuple[int, int]]:
+def _recession_rays(rows: list[Row]) -> list[tuple[int, int]]:
     """Quadrant directions along which the region is unbounded; empty if bounded.
 
     In 2-D each extreme ray of the recession cone is an axis direction or lies
     along some constraint's boundary, so the candidates found in the cone
     include both extreme rays.
     """
-    rows = _int_rows(constraints) + [(-1, 0, 0), (0, -1, 0)]
+    rows = rows + [(-1, 0, 0), (0, -1, 0)]
     candidates = {(1, 0), (0, 1)}
     for a1, a2, _ in rows:
         for d in ((a2, -a1), (-a2, a1)):
@@ -169,14 +162,39 @@ def _recession_rays(constraints: tuple[Halfspace, ...]) -> list[tuple[int, int]]
     return [d for d in candidates if all(a1 * d[0] + a2 * d[1] <= 0 for a1, a2, _ in rows)]
 
 
-def _max_over(constraints: tuple[Halfspace, ...], a1: Fraction, a2: Fraction):
-    """Exact max of a1*R1 + a2*R2 over the region; None when unbounded above."""
-    verts = _vertices(constraints)
+def _bounded_vertices(rows: list[Row]) -> set[Vertex]:
+    """The vertex set of a bounded, non-empty region given by its rows."""
+    if _recession_rays(rows):
+        raise RegionError("corner enumeration needs a bounded region")
+    verts = _vertex_triples(rows)
     if not verts:
-        raise RegionError("empty region")
-    if any(a1 * d[0] + a2 * d[1] > 0 for d in _recession_rays(constraints)):
-        return None
-    return max(a1 * p.r1 + a2 * p.r2 for p in verts)
+        raise RegionError("region is empty")
+    return verts
+
+
+def _polygons(*regions: RateRegion) -> list[set[Vertex]]:
+    """Vertex sets of bounded regions; an empty one is reported before an unbounded one."""
+    rows = [_rows(r) for r in regions]
+    verts = [_vertex_triples(r) for r in rows]
+    if not all(verts):
+        raise RegionError("region is empty")
+    if any(_recession_rays(r) for r in rows):
+        raise RegionError("corner enumeration needs a bounded region")
+    return verts
+
+
+def _implied(rows: list[Row], row: Row) -> bool:
+    """True when the rows (a non-empty region) plus the quadrant imply ``row``."""
+    a1, a2, b = row
+    if any(a1 * d1 + a2 * d2 > 0 for d1, d2 in _recession_rays(rows)):
+        return False
+    return all(a1 * n1 + a2 * n2 <= b * d for n1, n2, d in _vertex_triples(rows))
+
+
+def _sorted_by_r1_r2(verts) -> list[Vertex]:
+    """Vertex triples sorted by (r1, r2), compared over a common denominator."""
+    m = lcm(*(d for _, _, d in verts))
+    return sorted(verts, key=lambda t: (t[0] * (m // t[2]), t[1] * (m // t[2])))
 
 
 def _cross_sign(o, a, b) -> int:
@@ -188,19 +206,19 @@ def _cross_sign(o, a, b) -> int:
     return (a1 * od - o1 * ad) * (b2 * od - o2 * bd) - (a2 * od - o2 * ad) * (b1 * od - o1 * bd)
 
 
-def _hull_ccw(pts: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+def _hull_ccw(pts: list[Vertex]) -> list[Vertex]:
     """Andrew monotone chain; counter-clockwise, collinear points dropped.
 
     Expects unique triples already sorted by (r1, r2).
     """
     if len(pts) <= 2:
         return pts
-    lower: list[tuple[int, int, int]] = []
+    lower: list[Vertex] = []
     for p in pts:
         while len(lower) >= 2 and _cross_sign(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[tuple[int, int, int]] = []
+    upper: list[Vertex] = []
     for p in reversed(pts):
         while len(upper) >= 2 and _cross_sign(upper[-2], upper[-1], p) <= 0:
             upper.pop()
@@ -208,60 +226,44 @@ def _hull_ccw(pts: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     return lower[:-1] + upper[:-1]
 
 
-def _axis_implied(h: Halfspace) -> bool:
-    """True when the quadrant alone implies h (a1 <= 0, a2 <= 0, b >= 0)."""
-    return h.a1 <= 0 and h.a2 <= 0 and h.b >= 0
+def _direction(p: Vertex, q: Vertex) -> tuple[int, int]:
+    """A positive multiple of q - p."""
+    return q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]
 
 
-def _edge_halfspace(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Integer halfspace with the edge p -> q on its boundary, left side feasible."""
+def _line_row(p: Vertex, d1: int, d2: int) -> Row:
+    """Row with the line through p along (d1, d2) on its boundary, left side feasible."""
     p1, p2, pd = p
-    q1, q2, qd = q
-    d1 = q1 * pd - p1 * qd
-    d2 = q2 * pd - p2 * qd
-    a1, a2, b = pd * d2, -pd * d1, d2 * p1 - d1 * p2
-    g = gcd(gcd(abs(a1), abs(a2)), abs(b))
-    return (a1 // g, a2 // g, b // g) if g > 1 else (a1, a2, b)
+    return (pd * d2, -pd * d1, d2 * p1 - d1 * p2)
 
 
-def _point(t: tuple[int, int, int]) -> RatePoint:
-    return RatePoint(Fraction(t[0], t[2]), Fraction(t[1], t[2]))
-
-
-def _collinear_facets(p: RatePoint, d1: Fraction, d2: Fraction, q: RatePoint | None) -> list[Halfspace]:
+def _collinear_facets(p: Vertex, d1: int, d2: int, q: Vertex | None) -> set[Row]:
     """The line through p along (d1, d2), from both sides, capped at p and at q if given."""
-    line = d2 * p.r1 - d1 * p.r2
-    out = [Halfspace(d2, -d1, line), Halfspace(-d2, d1, -line), Halfspace(-d1, -d2, -(d1 * p.r1 + d2 * p.r2))]
+    p1, p2, pd = p
+    a1, a2, b = _line_row(p, d1, d2)
+    out = [(a1, a2, b), (-a1, -a2, -b), (-pd * d1, -pd * d2, -(d1 * p1 + d2 * p2))]
     if q is not None:
-        out.append(Halfspace(d1, d2, d1 * q.r1 + d2 * q.r2))
-    return sorted({h.normalized() for h in out if not _axis_implied(h)})
+        q1, q2, qd = q
+        out.append((qd * d1, qd * d2, d1 * q1 + d2 * q2))
+    return {_primitive(*r) for r in out if not _axis_implied(r)}
 
 
-def _facets_from_vertices(verts: list[tuple[int, int, int]]) -> list[Halfspace]:
-    """Minimal halfspace description of the convex hull of vertex triples.
+def _facets_from_vertices(verts: set[Vertex]) -> set[Row]:
+    """Minimal row description of the convex hull of vertex triples.
 
     Fully representation independent: two regions with the same point set
     canonicalize to the identical halfspace tuple.
     """
-    out: list[Halfspace] = []
     if len(verts) == 1:
-        p = _point(verts[0])
-        out.append(hs(1, 0, p.r1))
-        out.append(hs(0, 1, p.r2))
-        if p.r1 > 0:
-            out.append(hs(-1, 0, -p.r1))
-        if p.r2 > 0:
-            out.append(hs(0, -1, -p.r2))
-        return sorted(set(h.normalized() for h in out))
+        ((p1, p2, d),) = verts
+        out = [(d, 0, p1), (-d, 0, -p1), (0, d, p2), (0, -d, -p2)]
+        return {_primitive(*r) for r in out if not _axis_implied(r)}
     if len(verts) == 2:
-        p, q = _point(verts[0]), _point(verts[1])
-        return _collinear_facets(p, q.r1 - p.r1, q.r2 - p.r2, q)
-    ccw = _hull_ccw(verts)
-    for i, p in enumerate(ccw):
-        a1, a2, b = _edge_halfspace(p, ccw[(i + 1) % len(ccw)])
-        if not (a1 <= 0 and a2 <= 0 and b >= 0):
-            out.append(Halfspace(Fraction(a1), Fraction(a2), Fraction(b)))
-    return sorted(set(out))
+        p, q = verts
+        return _collinear_facets(p, *_direction(p, q), q)
+    ccw = _hull_ccw(_sorted_by_r1_r2(verts))
+    edges = (_line_row(p, *_direction(p, q)) for p, q in zip(ccw, ccw[1:] + ccw[:1]))
+    return {_primitive(*r) for r in edges if not _axis_implied(r)}
 
 
 def canonicalize(region: RateRegion) -> RateRegion:
@@ -273,40 +275,38 @@ def canonicalize(region: RateRegion) -> RateRegion:
     Other unbounded regions are full-dimensional and keep the irredundant
     subset of the given halfspaces, their facets, which is unique as well.
     """
-    cleaned: dict[tuple, Halfspace] = {}
+    tightest: dict[tuple[int, int], int] = {}
     for h in region.halfspaces:
-        n = h.normalized()
-        if _axis_implied(n):
+        a1, a2, b = row = _int_row(h)
+        if _axis_implied(row):
             continue
-        key = (n.a1, n.a2)
-        if key not in cleaned or n.b < cleaned[key].b:
-            cleaned[key] = n
-    constraints = tuple(sorted(cleaned.values()))
-    verts = _vertex_triples(_int_rows(constraints))
+        tightest[a1, a2] = min(b, tightest.get((a1, a2), b))
+    rows = sorted((a1, a2, b) for (a1, a2), b in tightest.items())
+    verts = _vertex_triples(rows)
     if not verts:
         raise RegionError("region is empty")
-    rays = _recession_rays(constraints)
+    rays = _recession_rays(rows)
     if not rays:
-        return RateRegion(tuple(_facets_from_vertices(verts)))
+        return _region(_facets_from_vertices(verts))
     d1, d2 = rays[0]
     if len(verts) == 1 and all(e1 * d2 == e2 * d1 for e1, e2 in rays):
-        return RateRegion(tuple(_collinear_facets(_point(verts[0]), Fraction(d1), Fraction(d2), None)))
-    # Unbounded: drop any halfspace the remaining ones still imply.
-    kept = list(constraints)
+        (p,) = verts
+        return _region(_collinear_facets(p, d1, d2, None))
+    # Unbounded: drop any row the remaining ones still imply.
+    kept = rows
     changed = True
     while changed:
         changed = False
-        for h in list(kept):
-            rest = tuple(x for x in kept if x != h)
-            m = _max_over(rest, h.a1, h.a2)
-            if m is not None and m <= h.b:
-                kept.remove(h)
+        for row in list(kept):
+            rest = [x for x in kept if x != row]
+            if _implied(rest, row):
+                kept.remove(row)
                 changed = True
-    return RateRegion(tuple(sorted(kept)))
+    return _region(kept)
 
 
 def is_bounded(region: RateRegion) -> bool:
-    return not _recession_rays(region.halfspaces)
+    return not _recession_rays(_rows(region))
 
 
 def corner_points(region: RateRegion) -> list[RatePoint]:
@@ -315,43 +315,46 @@ def corner_points(region: RateRegion) -> list[RatePoint]:
     The walk starts at (0,0), climbs the R2 axis, crosses the frontier with
     R1 increasing and ends on the R1 axis.
     """
-    if not is_bounded(region):
-        raise RegionError("corner enumeration needs a bounded region")
-    verts = _vertices(region.halfspaces)
-    if not verts:
-        raise RegionError("region is empty")
-    return sorted(verts, key=lambda p: (p != ORIGIN, p.r1, -p.r2))
+    verts = _bounded_vertices(_rows(region))
+    m = lcm(*(d for _, _, d in verts))
+    walk = sorted(verts, key=lambda t: (t != (0, 0, 1), t[0] * (m // t[2]), -t[1] * (m // t[2])))
+    return [RatePoint(Fraction(n1, d), Fraction(n2, d)) for n1, n2, d in walk]
 
 
 def regions_equal(a: RateRegion, b: RateRegion) -> bool:
-    """Point-set equality via mutual corner containment."""
-    ca, cb = canonicalize(a), canonicalize(b)
-    return all(cb.contains(p) for p in corner_points(ca)) and all(
-        ca.contains(p) for p in corner_points(cb)
-    )
+    """Point-set equality of bounded regions.
+
+    Two bounded convex polygons are equal exactly when their vertex sets
+    are, and the gcd-reduced vertex triples depend on the point set alone.
+    """
+    verts_a, verts_b = _polygons(a, b)
+    return verts_a == verts_b
 
 
 def region_contains(outer: RateRegion, inner: RateRegion) -> bool:
     """True when every point of ``inner`` lies in ``outer`` (both bounded)."""
-    return all(outer.contains(p) for p in corner_points(canonicalize(inner)))
+    (verts,) = _polygons(inner)
+    rows = _rows(outer)
+    return all(a1 * n1 + a2 * n2 <= b * d for n1, n2, d in verts for a1, a2, b in rows)
 
 
 def integer_points(region: RateRegion) -> set[tuple[int, int]]:
     """All integer rate pairs inside the (bounded) region."""
-    corners = corner_points(region)
-    m1 = int(max(p.r1 for p in corners))
-    m2 = int(max(p.r2 for p in corners))
+    rows = _rows(region)
+    verts = _bounded_vertices(rows)
+    m1 = max(n1 // d for n1, _, d in verts)
+    m2 = max(n2 // d for _, n2, d in verts)
     return {
         (r1, r2)
         for r1 in range(m1 + 1)
         for r2 in range(m2 + 1)
-        if region.contains((r1, r2))
+        if all(a1 * r1 + a2 * r2 <= b for a1, a2, b in rows)
     }
 
 
 def sum_capacity(region: RateRegion) -> Fraction:
     """Max of R1 + R2 over the region."""
-    return max(p.r1 + p.r2 for p in corner_points(region))
+    return max(Fraction(n1 + n2, d) for n1, n2, d in _bounded_vertices(_rows(region)))
 
 
 class Regime(str, Enum):

@@ -156,6 +156,14 @@ class TestLayout:
         with pytest.raises(LayoutError):
             pack(layout, {"a": (1,)})
 
+    def test_slot_lookup_by_name(self):
+        a, b = Slot("a", 0, 2), Slot("b", 3, 2)
+        layout = SignalLayout(5, (a, b))
+        assert layout.slot("b") is b and layout.slot("a") is a
+        assert layout == SignalLayout(5, (a, b))
+        with pytest.raises(LayoutError, match="no slot named c"):
+            layout.slot("c")
+
 
 class TestWordBoundary:
     """The q-bit word is checked wherever it is built or read in."""

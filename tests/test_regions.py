@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from ldbfn import (
@@ -7,6 +10,7 @@ from ldbfn import (
     canonicalize,
     corner_points,
     achievable_region,
+    integer_points,
     net_gain,
     outer_bound_region,
     regime_of,
@@ -113,6 +117,9 @@ class TestCanonicalize:
         a = canonicalize(RateRegion((hs(1, 1, 2),)))
         b = canonicalize(RateRegion((hs(2, 2, 4), hs(1, 0, 2), hs(1, 1, 2))))
         assert a == b
+        # Unbounded regions keep given rows, which must come out primitive.
+        for tight in (hs(-2, 2, 4), hs(Fraction(-2, 3), Fraction(2, 3), Fraction(4, 3))):
+            assert canonicalize(RateRegion((tight, hs(-1, 1, 3)))) == RateRegion((hs(-1, 1, 2),))
 
     def test_unbounded_keeps_halfspace_needed_along_another_ray(self):
         # Without R2 <= 3*R1 the cone gains the ray (0, 1), along which
@@ -159,6 +166,100 @@ class TestRegionsEqual:
         a = RateRegion((hs(1, 0, 1), hs(0, 1, 1)))
         b = RateRegion((hs(1, 0, 1), hs(0, 1, 1), hs(1, 1, 1)))
         assert not regions_equal(a, b)
+
+    def test_empty_region_rejected(self):
+        box = RateRegion((hs(1, 0, 1), hs(0, 1, 1)))
+        empty = RateRegion((hs(-1, 0, -1), hs(1, 0, 0)))
+        for a, b in ((empty, box), (box, empty)):
+            with pytest.raises(RegionError, match="empty"):
+                regions_equal(a, b)
+
+    def test_unbounded_region_rejected(self):
+        # No corner of the box satisfies R2 - R1 <= -5, so a check that
+        # stops at the first missing corner would answer False instead.
+        box = RateRegion((hs(1, 0, 1), hs(0, 1, 1)))
+        for unbounded in (RateRegion((hs(0, 1, 1),)), RateRegion((hs(-1, 1, -5),))):
+            for a, b in ((unbounded, box), (box, unbounded)):
+                with pytest.raises(RegionError, match="bounded"):
+                    regions_equal(a, b)
+
+
+def _rand_rational(rng, lo, hi):
+    den = rng.choice((1, 1, 2, 3, 4))
+    return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+def _random_bounded(rng):
+    """A bounded non-empty region in a redundant, rational representation.
+
+    Every row holds at a random point ``p`` of the box [0, 6]^2, so the
+    region is never empty; a box cap keeps it bounded.  Some regions are
+    pinned to a single point or to a segment through ``p``.
+    """
+    p = (_rand_rational(rng, 0, 6), _rand_rational(rng, 0, 6))
+    rows = [hs(1, 0, 6), hs(0, 1, 6)]
+    shape = rng.random()
+    if shape < 0.15:  # the single point p
+        rows += [hs(1, 0, p[0]), hs(-1, 0, -p[0]), hs(0, 1, p[1]), hs(0, -1, -p[1])]
+    elif shape < 0.3:  # a segment through p
+        a1, a2 = rng.randint(-3, 3), rng.randint(1, 3)
+        v = a1 * p[0] + a2 * p[1]
+        rows += [hs(a1, a2, v), hs(-a1, -a2, -v)]
+    for _ in range(rng.randint(0, 4)):
+        a1, a2 = _rand_rational(rng, -3, 3), _rand_rational(rng, -3, 3)
+        if a1 == 0 and a2 == 0:
+            continue
+        slack = rng.choice((0, 0, _rand_rational(rng, 0, 3), 50))  # 50: redundant
+        rows.append(hs(a1, a2, a1 * p[0] + a2 * p[1] + slack))
+    for h in rng.sample(rows, rng.randint(0, 2)):  # positive multiples of a row
+        k = _rand_rational(rng, 1, 4)
+        rows.append(hs(h.a1 * k, h.a2 * k, h.b * k))
+    rng.shuffle(rows)
+    return RateRegion(tuple(rows))
+
+
+def _mutually_contained(a, b):
+    """Reference equality: each canonical region's corners lie in the other."""
+    ca, cb = canonicalize(a), canonicalize(b)
+    return all(cb.contains(p) for p in corner_points(ca)) and all(
+        ca.contains(p) for p in corner_points(cb)
+    )
+
+
+class TestIntegerCoreAgainstFractionReferences:
+    """Fixed-seed random bounded regions checked through the public Fraction API."""
+
+    def test_regions_equal_matches_mutual_containment(self):
+        rng = random.Random(5)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            a = _random_bounded(rng)
+            if rng.random() < 0.6:  # a's facets written another way, maybe one dropped
+                facets = list(canonicalize(a).halfspaces)
+                if rng.random() < 0.5:
+                    facets.remove(rng.choice(facets))
+                rows = facets + list(a.halfspaces[:2]) + [hs(1, 0, 6), hs(0, 1, 6)]
+                b = RateRegion(tuple(hs(h.a1 * 2, h.a2 * 2, h.b * 2) for h in rows))
+            else:
+                b = _random_bounded(rng)
+            expected = _mutually_contained(a, b)
+            assert regions_equal(a, b) is expected, (a, b)
+            assert regions_equal(b, a) is expected, (a, b)
+            outcomes[expected] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_integer_points_match_brute_force_scan(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            region = _random_bounded(rng)
+            scan = {(r1, r2) for r1 in range(8) for r2 in range(8) if region.contains((r1, r2))}
+            assert integer_points(region) == scan, region
+
+    def test_canonicalize_idempotent(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            once = canonicalize(_random_bounded(rng))
+            assert canonicalize(once) == once
 
 
 class TestSumCapacityAndNetGain:
