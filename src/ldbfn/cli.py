@@ -93,11 +93,11 @@ def _feedback_usage(p: ChannelParams) -> int:
     return build_scheme(p, allocate(p, corner)).feedback_levels
 
 
-def _net_gain_value(p: ChannelParams) -> Fraction:
-    """Net gain at ``p``'s feedback strength; 0 without building a scheme when nothing is gained."""
+def _net_gain_value(p: ChannelParams, r_f: int | None = None) -> Fraction:
+    """Net gain at ``p``'s feedback strength per ``r_f`` levels (default ``_feedback_usage(p)``); 0 if none."""
     if net_gain(p, p.nf, 1) == 0:
         return Fraction(0)
-    return net_gain(p, p.nf, _feedback_usage(p))
+    return net_gain(p, p.nf, _feedback_usage(p) if r_f is None else r_f)
 
 
 def cmd_region(args) -> int:
@@ -195,7 +195,8 @@ def cmd_netgain(args) -> int:
         if nf == 0:  # no feedback spent, the ratio is undefined
             writer.writerow([nf, frac_to_json(cap), 0, "-"])
             continue
-        writer.writerow([nf, frac_to_json(cap), _feedback_usage(p), frac_to_json(_net_gain_value(p))])
+        r_f = _feedback_usage(p)
+        writer.writerow([nf, frac_to_json(cap), r_f, frac_to_json(_net_gain_value(p, r_f))])
     return 0
 
 

@@ -159,8 +159,8 @@ def shift_receive(x: BitVector, n: int) -> BitVector:
     return BitVector.from_word(x.word >> (q - n), q)
 
 
-def channel_step(inputs: NetworkInputs, params: ChannelParams) -> NetworkOutputs:
-    """One noiseless use of the network.
+def channel_words(params: ChannelParams, x1: int, x2: int, xr: int, xf: int) -> tuple[int, int, int, int]:
+    """One noiseless use of the network on q-bit words; returns (y0, y1, y3, y4).
 
     y0 = S^(q-ns) (x1 + x2)
     y1 = y2 = S^(q-nf) xf
@@ -168,16 +168,21 @@ def channel_step(inputs: NetworkInputs, params: ChannelParams) -> NetworkOutputs
     y4 = S^(q-nc) x1 + S^(q-nr) xr
     """
     q = params.q
+    cross = q - params.nc
+    relay = xr >> (q - params.nr)
+    return (x1 ^ x2) >> (q - params.ns), xf >> (q - params.nf), (x2 >> cross) ^ relay, (x1 >> cross) ^ relay
+
+
+def channel_step(inputs: NetworkInputs, params: ChannelParams) -> NetworkOutputs:
+    """One noiseless use of the network on vectors of length q (see :func:`channel_words`)."""
+    q = params.q
     if not inputs.x1.q == inputs.x2.q == inputs.xr.q == inputs.xf.q == q:
         name = next(n for n in ("x1", "x2", "xr", "xf") if getattr(inputs, n).q != q)
         raise ValueError(f"{name} must have length q={q}")
-    x1, x2 = inputs.x1.word, inputs.x2.word
-    relay = inputs.xr.word >> (q - params.nr)
-    vector = BitVector.from_word
-    y0 = vector((x1 ^ x2) >> (q - params.ns), q)
-    yf = vector(inputs.xf.word >> (q - params.nf), q)
-    y3 = vector((x2 >> (q - params.nc)) ^ relay, q)
-    y4 = vector((x1 >> (q - params.nc)) ^ relay, q)
+    y0, yf, y3, y4 = (
+        BitVector.from_word(w, q)
+        for w in channel_words(params, inputs.x1.word, inputs.x2.word, inputs.xr.word, inputs.xf.word)
+    )
     return NetworkOutputs(y0=y0, y1=yf, y2=yf, y3=y3, y4=y4)
 
 

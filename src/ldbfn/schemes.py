@@ -168,9 +168,6 @@ class RateAllocation:
     def as_dict(self) -> dict[str, int]:
         return dict(self.values)
 
-    def get(self, var: str) -> int:
-        return self.as_dict().get(var, 0)
-
     def rate_pair(self) -> tuple[int, int]:
         r1d, r2d = rate_definitions(self.regime)
         d = self.as_dict()
@@ -178,10 +175,6 @@ class RateAllocation:
             sum(c * d.get(v, 0) for v, c in r1d.items()),
             sum(c * d.get(v, 0) for v, c in r2d.items()),
         )
-
-    def uses_feedback(self) -> bool:
-        d = self.as_dict()
-        return any(d.get(v, 0) for v in ("R1f", "R2f", "Rbarf", "Rbarf1", "Rbarf2"))
 
 
 def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
@@ -351,23 +344,6 @@ class Scheme:
     @staticmethod
     def owner(stream: str) -> int:
         return int(stream[-1])
-
-    def source_active(self, n_blocks: int) -> tuple[int, int]:
-        look = [0]
-        for key in ("x1", "x2"):
-            look += [-b.offset for b in self.transmit[key].bindings]
-        return (1, n_blocks + max(look))
-
-    def relay_active(self, n_blocks: int) -> tuple[int, int]:
-        return (2, n_blocks + 1)
-
-    def memory_spans(self) -> dict[str, int]:
-        """Per-stream lookback (in uses) any encoder needs to keep."""
-        spans: dict[str, int] = {}
-        for plan in self.transmit.values():
-            for b in plan.bindings:
-                spans[b.stream] = max(spans.get(b.stream, 0), -b.offset)
-        return spans
 
     def to_jsonable(self) -> dict:
         def step_json(s: DecodeStep) -> dict:

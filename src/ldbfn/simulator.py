@@ -1,11 +1,13 @@
 """Zero-error bit-level execution of a scheme over N + delta channel uses.
 
 The relay decodes forward in time, the sources only process the feedback
-broadcast, and the destinations log their received vectors and decode
-backward from the final use.  Every value a decoder stores is compared
-against the ground-truth messages on the spot, so any mismatch is reported
-with its channel use, node and signal name; on the noiseless channel every
-such mismatch is a scheme bug, never an expected event.
+broadcast, and the destinations log their received words and decode
+backward from the final use.  ``run`` first compiles every transmit and
+decode plan into shifts and masks, so its loop over channel uses and the
+trace it keeps hold q-bit ints only.  Every value a decoder stores is
+compared against the ground-truth messages on the spot, so any mismatch is
+reported with its channel use, node and signal name; on the noiseless
+channel every such mismatch is a scheme bug, never an expected event.
 
 Messages come from a self-contained xorshift generator so that traces are
 reproducible from (scheme, N, seed) alone.  State update per draw, on
@@ -24,15 +26,15 @@ top level) the most significant bit.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .gf2 import BitVector, ChannelParams, NetworkInputs, NetworkOutputs, channel_step
+from .gf2 import BitVector, ChannelParams, NetworkInputs, NetworkOutputs, channel_step, channel_words
 from .regions import Regime, corner_points, frac_to_json, achievable_region
 from .schemes import (
-    Combine,
     Read,
     Scheme,
     SchemeError,
@@ -59,9 +61,6 @@ class XorShift64Star:
         self.state = x
         return (x * 2685821657736338717) & _MASK64
 
-    def bit(self) -> int:
-        return self._next_word() >> 63
-
     def word(self, n: int) -> int:
         """``n`` draws as an n-bit word, the first draw most significant."""
         w = 0
@@ -78,9 +77,6 @@ class MessageSet:
     seed: int
     blocks: Mapping[str, tuple[int, ...]]
 
-    def block(self, stream: str, idx: int) -> int:
-        return self.blocks[stream][idx - 1]
-
 
 def generate_messages(scheme: Scheme, n_blocks: int, seed: int) -> MessageSet:
     rng = XorShift64Star(seed)
@@ -92,8 +88,7 @@ def generate_messages(scheme: Scheme, n_blocks: int, seed: int) -> MessageSet:
     return MessageSet(n_blocks, seed, {s: tuple(v) for s, v in blocks.items()})
 
 
-@dataclass(frozen=True)
-class DecodeEvent:
+class DecodeEvent(NamedTuple):
     use: int
     node: int
     stream: str
@@ -116,41 +111,48 @@ class TraceStep:
     outputs: NetworkOutputs
 
 
+_DUMP_USE = "\n".join((
+    "use={0} node=1 x1={1}", "use={0} node=2 x2={2}", "use={0} node=0 xr={3}",
+    "use={0} node=0 xf={4}", "use={0} node=0 y0={5}", "use={0} node=1 y1={6}",
+    "use={0} node=2 y2={6}", "use={0} node=3 y3={7}", "use={0} node=4 y4={8}",
+))
+
+
 @dataclass(frozen=True)
 class Trace:
-    """Complete record of a run: all signals per use plus decode events.
+    """Complete record of a run: the signal words of every use plus decode events.
 
-    ``residuals`` holds each decoder's working vector after its known-signal
-    subtractions at every use, so a single use can be inspected without
-    re-running the scheme.
+    ``words[t - 1]`` holds use t's q-bit words ``(x1, x2, xr, xf, y0, y1, y3,
+    y4)``, level 1 the most significant bit; y2 equals y1 and is not stored.
+    ``steps`` rebuilds the same uses as vectors on access.
     """
 
     params: ChannelParams
     n_blocks: int
     seed: int
     delta: int
-    steps: tuple[TraceStep, ...]
+    words: tuple[tuple[int, ...], ...]
     events: tuple[DecodeEvent, ...]
-    residuals: Mapping[tuple[int, int], BitVector]
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        q = self.params.q
+        steps = []
+        for t, ws in enumerate(self.words, 1):
+            x1, x2, xr, xf, y0, y1, y3, y4 = (BitVector.from_word(w, q) for w in ws)
+            steps.append(TraceStep(t, NetworkInputs(x1, x2, xr, xf), NetworkOutputs(y0, y1, y1, y3, y4)))
+        return tuple(steps)
 
     def dump(self) -> str:
         p = self.params
+        fmt = f"0{p.q}b"
         lines = [
             "# ldbfn trace v1",
             f"# params nc={p.nc} ns={p.ns} nr={p.nr} nf={p.nf} q={p.q} "
             f"N={self.n_blocks} delta={self.delta} seed={self.seed}",
         ]
-        for st in self.steps:
-            t = st.use
-            lines.append(f"use={t} node=1 x1={st.inputs.x1.to_string()}")
-            lines.append(f"use={t} node=2 x2={st.inputs.x2.to_string()}")
-            lines.append(f"use={t} node=0 xr={st.inputs.xr.to_string()}")
-            lines.append(f"use={t} node=0 xf={st.inputs.xf.to_string()}")
-            lines.append(f"use={t} node=0 y0={st.outputs.y0.to_string()}")
-            lines.append(f"use={t} node=1 y1={st.outputs.y1.to_string()}")
-            lines.append(f"use={t} node=2 y2={st.outputs.y2.to_string()}")
-            lines.append(f"use={t} node=3 y3={st.outputs.y3.to_string()}")
-            lines.append(f"use={t} node=4 y4={st.outputs.y4.to_string()}")
+        for t, ws in enumerate(self.words, 1):
+            lines.append(_DUMP_USE.format(t, *(format(w, fmt) for w in ws)))
         for e in self.events:
             verdict = "ok" if e.ok else "FAIL"
             lines.append(f"use={e.use} node={e.node} decode {e.stream}[{e.block}] {verdict}")
@@ -236,89 +238,60 @@ class RunReport:
         }
 
 
-def _expected_block(scheme: Scheme, messages: MessageSet, stream: str, idx: int) -> int:
-    if stream not in scheme.sums:
-        return messages.block(stream, idx)
+_SUBTRACT, _READ, _COMBINE = range(3)
+
+
+def _ground_truth(scheme: Scheme, messages: MessageSet) -> dict[str, list]:
+    """Each stream's correct blocks as a list indexed by block 1..N (entry 0 unused)."""
     lengths = scheme.stream_lengths
-    out = 0
-    for part in scheme.sums[stream]:  # parts are top-aligned, zero padded
-        out ^= messages.block(part, idx) << (lengths[stream] - lengths[part])
-    return out
+    truth = {s: [None, *words] for s, words in messages.blocks.items()}
+    for stream, parts in scheme.sums.items():  # parts are top-aligned, zero padded
+        words = [0] * messages.n_blocks
+        for part in parts:
+            shift = lengths[stream] - lengths[part]
+            words = [w ^ m << shift for w, m in zip(words, messages.blocks[part])]
+        truth[stream] = [None, *words]
+    return truth
 
 
-def _emit(scheme: Scheme, key: str, store: dict, t: int, n_blocks: int, q: int) -> BitVector:
-    plan = scheme.transmit[key]
-    word = 0
-    for b in plan.bindings:
-        idx = t + b.offset
-        if not 1 <= idx <= n_blocks:
-            continue
-        val = store.get((b.stream, idx))
-        if val is None:
-            raise SchemeError(
-                f"encoder for {key} needs {b.stream}[{idx}] at use {t} but it was never stored"
-            )
-        slot = plan.layout.slot(b.slot)
-        # Block bits [take, take + n), cut at the block's end, top of the slot.
-        rest = scheme.stream_lengths[b.stream] - b.take
-        n = min(slot.length, rest)
-        word ^= ((val >> (rest - n)) & ((1 << n) - 1)) << (q - slot.start - n)
-    return BitVector.from_word(word, q)
-
-
-def _exec_plan(
-    scheme: Scheme,
-    node: int,
-    store: dict,
-    received: BitVector,
-    t: int,
-    n_blocks: int,
-    messages: MessageSet,
-    errors: list[DecodeError],
-    events: list[DecodeEvent],
-) -> BitVector:
-    q = received.q
+def _compile_transmit(scheme: Scheme, stores: list[dict[str, list]], q: int) -> tuple:
+    """Per signal, its sender's bindings as (stream, offset, blocks, right shift, mask, left shift)."""
     lengths = scheme.stream_lengths
-    work = received.word
-    pending: dict[tuple[str, int], int] = {}
+    signals = []
+    for key, node in (("x1", 1), ("x2", 2), ("xr", 0), ("xf", 0)):
+        plan = scheme.transmit[key]
+        bindings = []
+        for b in plan.bindings:
+            slot = plan.layout.slot(b.slot)
+            # Block bits [take, take + n), cut at the block's end, top of the slot.
+            rest = lengths.get(b.stream, 0) - b.take
+            n = min(slot.length, rest)
+            bindings.append((b.stream, b.offset, stores[node][b.stream],
+                             rest - n, (1 << n) - 1, q - slot.start - n))
+        signals.append((key, tuple(bindings)))
+    return tuple(signals)
 
-    def lookup(stream: str, idx: int) -> int:
-        if stream not in lengths:  # zero-rate component
-            return 0
-        key = (stream, idx)
-        if key in pending:
-            return pending[key]
-        if key in store:
-            return store[key]
-        raise SchemeError(f"node {node} needs {stream}[{idx}] at use {t} before decoding it")
 
+def _compile_decode(scheme: Scheme, node: int, store: dict[str, list], zeros: list, q: int) -> tuple:
+    """A node's decode plan as kind-tagged tuples of shifts, masks and block lists."""
+    lengths = scheme.stream_lengths
+    steps = []
     for step in scheme.decode_plans[node]:
-        idx = t + step.offset
-        if not 1 <= idx <= n_blocks:
-            continue
         if isinstance(step, Subtract):
-            head = lookup(step.stream, idx) >> (lengths[step.stream] - step.length)
-            work ^= head << (q - step.pos - step.length)
+            steps.append((_SUBTRACT, step.offset, step.stream, store[step.stream],
+                          lengths[step.stream] - step.length, q - step.pos - step.length))
         elif isinstance(step, Read):
-            key = (step.stream, idx)
             shift = lengths[step.stream] - step.at - step.length
             mask = ((1 << step.length) - 1) << shift
-            levels = (work >> (q - step.pos - step.length)) << shift
-            pending[key] = (pending.get(key, 0) & ~mask) | (levels & mask)
-        else:  # Combine
-            a, b = lookup(step.a, idx), lookup(step.b, idx)
-            width_a, width_b = lengths.get(step.a, 0), lengths.get(step.b, 0)
-            width = max(width_a, width_b)
-            mixed = (a << (width - width_a)) ^ (b << (width - width_b))
-            pending[(step.target, idx)] = mixed >> (width - lengths[step.target])
-
-    for (stream, idx), value in pending.items():
-        ok = value == _expected_block(scheme, messages, stream, idx)
-        events.append(DecodeEvent(t, node, stream, idx, ok))
-        if not ok:
-            errors.append(DecodeError(t, node, stream, idx))
-        store[(stream, idx)] = value
-    return BitVector.from_word(work, q)
+            steps.append((_READ, step.offset, step.stream, store[step.stream],
+                          q - step.pos - step.length, shift, mask))
+        else:  # Combine; a zero-rate component reads as 0
+            width = max(lengths.get(step.a, 0), lengths.get(step.b, 0))
+            a, b = ((s, store[s] if s in lengths else zeros, width - lengths.get(s, 0))
+                    for s in (step.a, step.b))
+            steps.append((_COMBINE, step.offset, step.target, store[step.target],
+                          *a, *b, width - lengths[step.target]))
+    return tuple(steps)
 
 
 def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunReport]:
@@ -330,64 +303,106 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
     if n_blocks < 3:
         raise ValueError("need at least 3 blocks to exercise the pipeline")
     messages = generate_messages(scheme, n_blocks, seed)
+    truth = _ground_truth(scheme, messages)
     n_uses = scheme.n_uses(n_blocks)
-    q = scheme.params.q
+    params = scheme.params
+    q = params.q
 
-    stores: dict[int, dict] = {n: {} for n in range(5)}
+    stores: list[dict[str, list]] = [defaultdict(lambda: [None] * (n_blocks + 1)) for _ in range(5)]
     for stream in scheme.message_streams():
-        owner = Scheme.owner(stream)
-        for i in range(1, n_blocks + 1):
-            stores[owner][(stream, i)] = messages.block(stream, i)
+        stores[Scheme.owner(stream)][stream][1:] = messages.blocks[stream]
+    zeros = [0] * (n_blocks + 1)
+    signals = _compile_transmit(scheme, stores, q)
+    plans = [_compile_decode(scheme, node, stores[node], zeros, q) for node in range(5)]
 
     errors: list[DecodeError] = []
     events: list[DecodeEvent] = []
-    steps: list[TraceStep] = []
-    residuals: dict[tuple[int, int], BitVector] = {}
-    dest_log: dict[int, dict[int, BitVector]] = {3: {}, 4: {}}
 
+    def known(blocks: list, stream: str, idx: int, node: int, t: int) -> int:
+        value = blocks[idx]
+        if value is None:
+            raise SchemeError(f"node {node} needs {stream}[{idx}] at use {t} before decoding it")
+        return value
+
+    def decode(node: int, t: int, work: int) -> None:
+        decoded: dict[tuple[str, int], list] = {}  # this use's blocks, in decode order
+        for step in plans[node]:
+            idx = t + step[1]
+            if not 1 <= idx <= n_blocks:
+                continue
+            if step[0] == _SUBTRACT:
+                _, _, stream, blocks, head, shift = step
+                work ^= known(blocks, stream, idx, node, t) >> head << shift
+            elif step[0] == _READ:
+                _, _, stream, blocks, down, shift, mask = step
+                levels = (work >> down << shift) & mask
+                key = (stream, idx)
+                if key in decoded:  # a later read of a block fills in more of its bits
+                    levels |= blocks[idx] & ~mask
+                decoded[key] = blocks
+                blocks[idx] = levels
+            else:
+                _, _, target, blocks, a, blocks_a, shift_a, b, blocks_b, shift_b, cut = step
+                mixed = (known(blocks_a, a, idx, node, t) << shift_a
+                         ^ known(blocks_b, b, idx, node, t) << shift_b)
+                decoded[(target, idx)] = blocks
+                blocks[idx] = mixed >> cut
+        for (stream, idx), blocks in decoded.items():
+            ok = blocks[idx] == truth[stream][idx]
+            events.append(DecodeEvent(t, node, stream, idx, ok))
+            if not ok:
+                errors.append(DecodeError(t, node, stream, idx))
+
+    # (node, index of its received word in a use's words); a node without a plan is skipped
+    forward = [(node, col) for node, col in ((0, 4), (1, 5), (2, 5)) if plans[node]]
+    backward = [(node, col) for node, col in ((3, 6), (4, 7)) if plans[node]]
+    words: list[tuple[int, ...]] = []
     for t in range(1, n_uses + 1):
-        inputs = NetworkInputs(
-            x1=_emit(scheme, "x1", stores[1], t, n_blocks, q),
-            x2=_emit(scheme, "x2", stores[2], t, n_blocks, q),
-            xr=_emit(scheme, "xr", stores[0], t, n_blocks, q),
-            xf=_emit(scheme, "xf", stores[0], t, n_blocks, q),
-        )
-        outs = channel_step(inputs, scheme.params)
-        steps.append(TraceStep(t, inputs, outs))
-        for node, received in ((0, outs.y0), (1, outs.y1), (2, outs.y2)):
-            residuals[(t, node)] = _exec_plan(
-                scheme, node, stores[node], received, t, n_blocks, messages, errors, events
-            )
-        dest_log[3][t] = outs.y3
-        dest_log[4][t] = outs.y4
+        sent = []
+        for key, bindings in signals:
+            word = 0
+            for stream, offset, blocks, down, mask, up in bindings:
+                idx = t + offset
+                if 1 <= idx <= n_blocks:
+                    val = blocks[idx]
+                    if val is None:
+                        raise SchemeError(
+                            f"encoder for {key} needs {stream}[{idx}] at use {t} but it was never stored"
+                        )
+                    word ^= (val >> down & mask) << up
+            if word >> q:
+                raise ValueError(f"word {word} does not fit in {q} bits")
+            sent.append(word)
+        ws = (*sent, *channel_words(params, *sent))
+        words.append(ws)
+        for node, col in forward:
+            decode(node, t, ws[col])
 
     for t in range(n_uses, 0, -1):
-        for node in (3, 4):
-            residuals[(t, node)] = _exec_plan(
-                scheme, node, stores[node], dest_log[node][t], t, n_blocks, messages, errors, events
-            )
+        ws = words[t - 1]
+        for node, col in backward:
+            decode(node, t, ws[col])
 
     delivered = [0, 0]
     for dest, j in ((3, 0), (4, 1)):
         for stream in scheme.delivered[dest]:
+            got, want = stores[dest][stream], truth[stream]
             for i in range(1, n_blocks + 1):
-                got = stores[dest].get((stream, i))
-                if got is None:
+                if got[i] is None:
                     errors.append(DecodeError(0, dest, stream, i))
-                elif got == messages.block(stream, i):
+                elif got[i] == want[i]:
                     delivered[j] += scheme.stream_lengths[stream]
 
     trace = Trace(
-        params=scheme.params,
+        params=params,
         n_blocks=n_blocks,
         seed=seed,
         delta=scheme.delta,
-        steps=tuple(steps),
+        words=tuple(words),
         events=tuple(events),
-        residuals=residuals,
     )
     report = RunReport(
-        params=scheme.params,
+        params=params,
         regime=scheme.regime,
         target=scheme.rates,
         n_blocks=n_blocks,

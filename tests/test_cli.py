@@ -159,6 +159,14 @@ class TestNetGain:
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[3] for r in rows[1:]] == ["-", "0", "0"]
 
+    def test_one_scheme_per_row_with_feedback(self, capsys, monkeypatch):
+        calls, build_scheme = [], cli.build_scheme
+        monkeypatch.setattr(cli, "build_scheme", lambda *args: calls.append(args) or build_scheme(*args))
+        code, out, _ = run_cli(capsys, "netgain", "--nc", "6", "--ns", "3", "--nr", "1", "--nf-max", "4")
+        assert code == 0
+        assert len(calls) == 4
+        assert out.splitlines()[2:] == ["1,4,1,2", "2,6,2,2", "3,6,2,2", "4,6,2,2"]
+
     def test_negative_nf_max_is_usage_error(self, capsys):
         err = assert_usage_error(capsys, "netgain", "--nc", "2", "--ns", "1", "--nr", "3", "--nf-max", "-1")
         assert "--nf-max" in err

@@ -1,7 +1,10 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -10,9 +13,11 @@ from ldbfn import (
     ChannelParams,
     RateAllocation,
     Regime,
+    SchemeError,
     XorShift64Star,
     allocate,
     build_scheme,
+    channel_step,
     generate_messages,
     integer_corners,
     parse_trace,
@@ -21,6 +26,7 @@ from ldbfn import (
     verify_corner_sweep,
     verify_params,
 )
+from ldbfn.schemes import Binding, Subtract
 
 
 def scheme_for(params, corner):
@@ -69,6 +75,50 @@ class TestRun:
         with pytest.raises(ValueError):
             run(scheme, n_blocks=2)
 
+    def test_peak_memory_at_4096_blocks(self):
+        scheme = scheme_for(ChannelParams(6, 3, 1, 1), (2, 2))
+        tracemalloc.start()
+        try:
+            run(scheme, n_blocks=4096, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18e6
+
+
+class TestNegativeControls:
+    """Broken schemes must be caught by the checks inside ``run``."""
+
+    def test_dropped_relay_subtract_fails_ground_truth(self):
+        scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
+        drop = Subtract("f2", offset=-2, pos=0, length=1)
+        relay = scheme.decode_plans[0]
+        assert drop in relay
+        plans = {**scheme.decode_plans, 0: tuple(step for step in relay if step != drop)}
+        trace, report = run(dataclasses.replace(scheme, decode_plans=plans), n_blocks=8, seed=1)
+        assert len(report.errors) == 15
+        assert trace.dump().count(" FAIL\n") == 15
+
+    def test_encoder_needing_an_unstored_block_raises(self):
+        scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
+        xr = scheme.transmit["xr"]
+        slot = xr.layout.slots[0].name
+        extra = dataclasses.replace(xr, bindings=xr.bindings + (Binding(slot, "f2", 0),))
+        broken = dataclasses.replace(scheme, transmit={**scheme.transmit, "xr": extra})
+        with pytest.raises(SchemeError) as exc:
+            run(broken, n_blocks=8, seed=1)
+        assert str(exc.value) == "encoder for xr needs f2[1] at use 1 but it was never stored"
+
+    def test_trace_steps_obey_the_channel(self):
+        for levels in product(range(3), repeat=4):
+            p = ChannelParams(*levels)
+            for corner in integer_corners(p):
+                trace, _ = run(scheme_for(p, corner), n_blocks=8, seed=1)
+                steps = trace.steps
+                assert [step.use for step in steps] == list(range(1, len(steps) + 1))
+                assert all(channel_step(step.inputs, p) == step.outputs for step in steps)
+                assert validate_trace(trace.dump())
+
 
 class TestTrace:
     def test_dump_round_trips_and_channel_checks(self):
@@ -88,17 +138,6 @@ class TestTrace:
         bits = line.split("x1=")[1]
         assert len(bits) == 3 and set(bits) <= {"0", "1"}
 
-    def test_residuals_recorded_for_every_node_and_use(self):
-        scheme = scheme_for(ChannelParams(2, 3, 1, 1), (2, 1))
-        trace, _ = run(scheme, n_blocks=8, seed=4)
-        uses = {t for (t, _) in trace.residuals}
-        nodes = {n for (_, n) in trace.residuals}
-        assert uses == set(range(1, 11)) and nodes == {0, 1, 2, 3, 4}
-        # After backward decoding subtracts the known D-signal, destination
-        # 1's residual at a steady-state use carries no content on the
-        # relay-unreachable gap levels.
-        assert all(len(v) == scheme.params.q for v in trace.residuals.values())
-
 
 class TestPrng:
     def test_update_equations(self):
@@ -109,7 +148,7 @@ class TestPrng:
         x ^= x >> 27
         out = (x * 2685821657736338717) & ((1 << 64) - 1)
         rng = XorShift64Star(1)
-        assert rng.bit() == out >> 63
+        assert rng.word(1) == out >> 63
         assert rng.state == x
 
     def test_zero_seed_replaced(self):
