@@ -261,6 +261,20 @@ class TestGoldenOutputs:
         assert code == 0 and out == ""
         assert target.read_bytes() == (GOLDEN / "sweep_max4_oracle.csv").read_bytes()
 
+    @pytest.mark.parametrize("levels", [(6, 3, 1, 1), (2, 3, 1, 1)])
+    def test_region_matches_golden(self, capsys, levels):
+        nc, ns, nr, nf = levels
+        code, out, _ = run_cli(
+            capsys, "region", "--nc", str(nc), "--ns", str(ns), "--nr", str(nr), "--nf", str(nf),
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"region_nc{nc}_ns{ns}_nr{nr}_nf{nf}.stdout").read_bytes()
+
+    def test_netgain_matches_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "netgain", "--nc", "6", "--ns", "3", "--nr", "1", "--nf-max", "4")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "netgain_nc6_ns3_nr1_nfmax4.stdout").read_bytes()
+
     @pytest.mark.parametrize("regime", sorted(SIMULATE_GOLDEN_CASES))
     def test_simulate_matches_golden(self, capsys, tmp_path, regime):
         (nc, ns, nr, nf), (r1, r2) = SIMULATE_GOLDEN_CASES[regime]

@@ -1,5 +1,6 @@
 import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +16,11 @@ from ldbfn import (
     achievable_region,
     rate_definitions,
 )
-from ldbfn.schemes import Subtract
+from ldbfn.schemes import ALLOC_ORDER, Subtract
 
 SHOWCASE = ChannelParams(2, 3, 1, 1)
 NETGAIN = ChannelParams(6, 3, 1, 1)
+ALLOCATE_GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden" / "allocate_max5.txt"
 
 
 def nonzero(alloc):
@@ -92,6 +94,23 @@ class TestAllocate:
             for corner in integer_corners(p):
                 alloc = allocate(p, corner)
                 assert alloc.rate_pair() == corner
+
+    def test_matches_golden(self):
+        # One line per (tuple, corner) on [0,5]^4: "nc,ns,nr,nf r1,r2 regime
+        # values", the values in ALLOC_ORDER of the regime.
+        lines = []
+        for tup in product(range(6), repeat=4):
+            p = ChannelParams(*tup)
+            for corner in integer_corners(p):
+                alloc = allocate(p, corner)
+                values = alloc.as_dict()
+                lines.append(" ".join((
+                    ",".join(map(str, tup)),
+                    ",".join(map(str, corner)),
+                    alloc.regime.value,
+                    ",".join(str(values[v]) for v in ALLOC_ORDER[alloc.regime]),
+                )))
+        assert "\n".join(lines) + "\n" == ALLOCATE_GOLDEN.read_text()
 
     def test_interior_integer_points_allocatable(self):
         p = ChannelParams(3, 3, 2, 1)
