@@ -4,8 +4,9 @@ A system is a list of inequalities ``sum coeff*var <= bound`` over declared
 variables, each implicitly >= 0.  Eliminating a variable pairs every
 inequality with a positive coefficient on it against every one with a
 negative coefficient (the implicit ``-var <= 0`` counts as negative), which
-projects the polyhedron exactly.  All arithmetic is integer after clearing
-denominators, so nothing is ever rounded.
+projects the polyhedron exactly.  Coefficients and bounds are integral by
+construction (:class:`LinearIneq` accepts nothing else), so all arithmetic
+is on ints and nothing is ever rounded.
 
 Redundant rows are pruned by history (Chernikov's rule, as compared in
 Imbert, "Fourier's elimination: which to choose?", PPCP 1993).  Each row
@@ -57,18 +58,20 @@ class SystemParseError(ValueError):
 
 @dataclass(frozen=True)
 class LinearIneq:
-    """sum(coeffs[v] * v) <= bound; absent vars have coefficient 0."""
+    """sum(coeffs[v] * v) <= bound over ints; absent vars have coefficient 0."""
 
-    coeffs: Mapping[str, Fraction]
-    bound: Fraction
+    coeffs: Mapping[str, int]
+    bound: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(x, int) for x in (*self.coeffs.values(), self.bound)):
+            raise ValueError("inequality coefficients and bound must be integers")
         if not any(self.coeffs.values()):
             raise ValueError("inequality needs at least one nonzero coefficient")
 
     @classmethod
-    def of(cls, coeffs: Mapping[str, int | Fraction], bound: int | Fraction) -> "LinearIneq":
-        return cls({v: Fraction(c) for v, c in coeffs.items() if c != 0}, Fraction(bound))
+    def of(cls, coeffs: Mapping[str, int], bound: int) -> "LinearIneq":
+        return cls({v: c for v, c in coeffs.items() if c != 0}, bound)
 
 
 @dataclass(frozen=True)
@@ -87,15 +90,7 @@ class IneqSystem:
 
 
 def _to_rows(vars: tuple[str, ...], ineqs: Iterable[LinearIneq]) -> list[Row]:
-    rows = []
-    for q in ineqs:
-        denoms = [c.denominator for c in q.coeffs.values()] + [q.bound.denominator]
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // gcd(lcm, d)
-        coeffs = tuple(int(q.coeffs.get(v, 0) * lcm) for v in vars)
-        rows.append(_normalize(coeffs, int(q.bound * lcm)))
-    return rows
+    return [_normalize(tuple(q.coeffs.get(v, 0) for v in vars), q.bound) for q in ineqs]
 
 
 def _normalize(coeffs: tuple[int, ...], b: int) -> Row:
@@ -317,8 +312,8 @@ def parse_system(text: str) -> tuple[IneqSystem, dict[str, int], dict[str, int]]
         if "<=" in line:
             lhs, _, rhs = line.partition("<=")
             coeffs = _parse_expr(lhs, line_no)
-            if not coeffs:
-                raise SystemParseError(line_no, "inequality with empty left side")
+            if not any(coeffs.values()):
+                raise SystemParseError(line_no, "inequality needs a nonzero coefficient on the left side")
             try:
                 bound = int(rhs.strip())
             except ValueError:

@@ -104,7 +104,8 @@ def _int_row(h: Halfspace) -> Row:
     return _primitive(*(x.numerator * (m // x.denominator) for x in (a1, a2, b)))
 
 
-def _rows(region: RateRegion) -> list[Row]:
+def integer_rows(region: RateRegion) -> list[Row]:
+    """The region's halfspaces as primitive integer rows ``(a1, a2, b)``."""
     return [_int_row(h) for h in region.halfspaces]
 
 
@@ -174,7 +175,7 @@ def _bounded_vertices(rows: list[Row]) -> set[Vertex]:
 
 def _polygons(*regions: RateRegion) -> list[set[Vertex]]:
     """Vertex sets of bounded regions; an empty one is reported before an unbounded one."""
-    rows = [_rows(r) for r in regions]
+    rows = [integer_rows(r) for r in regions]
     verts = [_vertex_triples(r) for r in rows]
     if not all(verts):
         raise RegionError("region is empty")
@@ -306,7 +307,7 @@ def canonicalize(region: RateRegion) -> RateRegion:
 
 
 def is_bounded(region: RateRegion) -> bool:
-    return not _recession_rays(_rows(region))
+    return not _recession_rays(integer_rows(region))
 
 
 def corner_points(region: RateRegion) -> list[RatePoint]:
@@ -315,7 +316,7 @@ def corner_points(region: RateRegion) -> list[RatePoint]:
     The walk starts at (0,0), climbs the R2 axis, crosses the frontier with
     R1 increasing and ends on the R1 axis.
     """
-    verts = _bounded_vertices(_rows(region))
+    verts = _bounded_vertices(integer_rows(region))
     m = lcm(*(d for _, _, d in verts))
     walk = sorted(verts, key=lambda t: (t != (0, 0, 1), t[0] * (m // t[2]), -t[1] * (m // t[2])))
     return [RatePoint(Fraction(n1, d), Fraction(n2, d)) for n1, n2, d in walk]
@@ -334,13 +335,13 @@ def regions_equal(a: RateRegion, b: RateRegion) -> bool:
 def region_contains(outer: RateRegion, inner: RateRegion) -> bool:
     """True when every point of ``inner`` lies in ``outer`` (both bounded)."""
     (verts,) = _polygons(inner)
-    rows = _rows(outer)
+    rows = integer_rows(outer)
     return all(a1 * n1 + a2 * n2 <= b * d for n1, n2, d in verts for a1, a2, b in rows)
 
 
 def integer_points(region: RateRegion) -> set[tuple[int, int]]:
     """All integer rate pairs inside the (bounded) region."""
-    rows = _rows(region)
+    rows = integer_rows(region)
     verts = _bounded_vertices(rows)
     m1 = max(n1 // d for n1, _, d in verts)
     m2 = max(n2 // d for _, n2, d in verts)
@@ -354,7 +355,7 @@ def integer_points(region: RateRegion) -> set[tuple[int, int]]:
 
 def sum_capacity(region: RateRegion) -> Fraction:
     """Max of R1 + R2 over the region."""
-    return max(Fraction(n1 + n2, d) for n1, n2, d in _bounded_vertices(_rows(region)))
+    return max(Fraction(n1 + n2, d) for n1, n2, d in _bounded_vertices(integer_rows(region)))
 
 
 class Regime(str, Enum):

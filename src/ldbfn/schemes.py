@@ -42,7 +42,7 @@ from typing import Mapping
 
 from .fm import IneqSystem, LinearIneq
 from .gf2 import ChannelParams, SignalLayout, Slot
-from .regions import RatePoint, Regime, applicable_regimes, achievable_region, regime_of
+from .regions import RatePoint, Regime, applicable_regimes, achievable_region, integer_rows, regime_of
 
 
 class SchemeError(RuntimeError):
@@ -76,59 +76,68 @@ def _require_regime(regime: Regime, p: ChannelParams) -> None:
         raise ValueError(f"params {p} are not in regime {regime.value}")
 
 
+# Row bounds are integer linear forms: coefficients of (nc, ns, nr, nf).
+_NC, _NS, _NR, _NF = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+_NS_NC, _NR_NC = (-1, 1, 0, 0), (-1, 0, 1, 0)
+
+# Each regime's component-rate inequalities ``row . vars <= bound``: the
+# variables, the integer coefficient rows aligned with them, and the rows'
+# bounds, which are non-negative wherever the regime applies.
+_SYSTEMS = {
+    Regime.A: (
+        ("Rc1", "Rc2", "R1d", "R2d"),
+        ((1, 1, 1, 1), (1, 2, 1, 1), (1, 0, 0, 0)),
+        (_NS, _NC, _NR_NC),
+    ),
+    Regime.B: (
+        ("Rc", "R1d", "R2d", "Rbar1d", "Rbar2d", "Rn"),
+        ((1, 1, 1, 0, 0, 1), (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 1), (2, 1, 1, 1, 1, 1)),
+        (_NC, _NS_NC, _NS_NC, _NR),
+    ),
+    # The destination row (bound nc) charges each D-rate once, not twice: the
+    # D-slot may share levels with the two-use-old symmetric-F delivery and
+    # with the relay's forwarding block, because backward decoding knows the
+    # interfering D-signal one use ahead and strips it.  With a disjoint
+    # placement (2*R1d + 2*R2d) the asymmetric corners of the capacity region
+    # would be unreachable for some parameter tuples.
+    Regime.C: (
+        ("Rc", "R1d", "R2d", "R1f", "R2f", "Rbarf"),
+        (
+            (1, 1, 1, 1, 1, 1),
+            (1, 1, 1, 0, 0, 0),
+            (0, 0, 0, 1, 0, 1),
+            (0, 0, 0, 0, 1, 1),
+            (2, 1, 1, 1, 1, 2),
+        ),
+        (_NS, _NR, _NF, _NF, _NC),
+    ),
+    Regime.D: (
+        ("R1f", "R2f", "Rbarf1", "Rbarf2", "R1d", "R2d", "Rn1", "Rn2"),
+        (
+            (1, 1, 2, 1, 1, 1, 2, 1),
+            (0, 0, 0, 1, 0, 0, 0, 1),
+            (0, 0, 0, 0, 1, 1, 1, 1),
+            (1, 0, 1, 1, 0, 0, 0, 0),
+            (0, 1, 1, 1, 0, 0, 0, 0),
+        ),
+        (_NC, _NS_NC, _NR, _NF, _NF),
+    ),
+}
+
+
+def _bounds(regime: Regime, p: ChannelParams) -> list[int]:
+    """The regime's row bounds with the parameters filled in."""
+    nc, ns, nr, nf = p.nc, p.ns, p.nr, p.nf
+    return [a * nc + b * ns + c * nr + d * nf for a, b, c, d in _SYSTEMS[regime][2]]
+
+
 def constraint_system(regime: Regime, p: ChannelParams) -> IneqSystem:
     """The regime's component-rate inequality system with parameters filled in."""
     _require_regime(regime, p)
-    I = LinearIneq.of
-    if regime is Regime.A:
-        return IneqSystem(
-            ("Rc1", "Rc2", "R1d", "R2d"),
-            (
-                I({"Rc1": 1, "Rc2": 1, "R1d": 1, "R2d": 1}, p.ns),
-                I({"Rc1": 1, "Rc2": 2, "R1d": 1, "R2d": 1}, p.nc),
-                I({"Rc1": 1}, p.nr - p.nc),
-            ),
-        )
-    if regime is Regime.B:
-        return IneqSystem(
-            ("Rc", "R1d", "R2d", "Rbar1d", "Rbar2d", "Rn"),
-            (
-                I({"Rc": 1, "R1d": 1, "R2d": 1, "Rn": 1}, p.nc),
-                I({"Rbar1d": 1, "Rbar2d": 1}, p.ns - p.nc),
-                I({"Rn": 1}, p.ns - p.nc),
-                I({"Rbar1d": 1, "Rbar2d": 1, "Rc": 2, "R1d": 1, "R2d": 1, "Rn": 1}, p.nr),
-            ),
-        )
-    if regime is Regime.C:
-        # The destination constraint charges each D-rate once, not twice: the
-        # D-slot may share levels with the two-use-old symmetric-F delivery
-        # and with the relay's forwarding block, because backward decoding
-        # knows the interfering D-signal one use ahead and strips it.  With
-        # a disjoint placement (2*R1d + 2*R2d) the asymmetric corners of the
-        # capacity region would be unreachable for some parameter tuples.
-        return IneqSystem(
-            ("Rc", "R1d", "R2d", "R1f", "R2f", "Rbarf"),
-            (
-                I({"Rc": 1, "R1d": 1, "R2d": 1, "R1f": 1, "R2f": 1, "Rbarf": 1}, p.ns),
-                I({"Rc": 1, "R1d": 1, "R2d": 1}, p.nr),
-                I({"R1f": 1, "Rbarf": 1}, p.nf),
-                I({"R2f": 1, "Rbarf": 1}, p.nf),
-                I({"Rc": 2, "R1d": 1, "R2d": 1, "R1f": 1, "R2f": 1, "Rbarf": 2}, p.nc),
-            ),
-        )
-    return IneqSystem(
-        ("R1f", "R2f", "Rbarf1", "Rbarf2", "R1d", "R2d", "Rn1", "Rn2"),
-        (
-            I(
-                {"R1f": 1, "R2f": 1, "Rbarf1": 2, "Rbarf2": 1, "R1d": 1, "R2d": 1, "Rn1": 2, "Rn2": 1},
-                p.nc,
-            ),
-            I({"Rbarf2": 1, "Rn2": 1}, p.ns - p.nc),
-            I({"R1d": 1, "R2d": 1, "Rn1": 1, "Rn2": 1}, p.nr),
-            I({"R1f": 1, "Rbarf1": 1, "Rbarf2": 1}, p.nf),
-            I({"R2f": 1, "Rbarf1": 1, "Rbarf2": 1}, p.nf),
-        ),
-    )
+    vars, rows, _ = _SYSTEMS[regime]
+    return IneqSystem(vars, tuple(
+        LinearIneq.of(dict(zip(vars, row)), b) for row, b in zip(rows, _bounds(regime, p))
+    ))
 
 
 def rate_definitions(regime: Regime) -> tuple[dict[str, int], dict[str, int]]:
@@ -188,7 +197,7 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
         raise InfeasibleTargetError(f"target {target} is not an integer point")
     t1, t2 = int(t1), int(t2)
     region = achievable_region(p)
-    if t1 < 0 or t2 < 0 or not region.contains((t1, t2)):
+    if t1 < 0 or t2 < 0 or any(a1 * t1 + a2 * t2 > b for a1, a2, b in integer_rows(region)):
         pt = RatePoint(Fraction(t1), Fraction(t2))
         violated = next((h for h in region.halfspaces if not h.holds(pt)), None)
         detail = (
@@ -202,53 +211,46 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
         )
 
     regime = regime_of(p)
-    system = constraint_system(regime, p)
+    vars, rows, _ = _SYSTEMS[regime]
+    bounds = _bounds(regime, p)
     r1_def, r2_def = rate_definitions(regime)
     order = ALLOC_ORDER[regime]
-    # All coefficients and bounds are integral: as ints they keep Fractions out of the search.
-    bounds = [int(q.bound) for q in system.ineqs]
-    column = {v: [int(q.coeffs.get(v, 0)) for q in system.ineqs] for v in order}
+    n = len(order)
+    by_var = dict(zip(vars, zip(*rows)))
+    columns = [by_var[v] for v in order]
+    a1s = [r1_def.get(v, 0) for v in order]
+    a2s = [r2_def.get(v, 0) for v in order]
 
-    caps = {}
-    for v in order:
-        cap = max(t1, t2)
-        for c, b in zip(column[v], bounds):
-            if c > 0:
-                cap = min(cap, b // c if b >= 0 else -1)
-        caps[v] = cap
+    caps = [min([max(t1, t2)] + [b // c for c, b in zip(column, bounds) if c > 0]) for column in columns]
+    # The largest R1 and R2 that the variables after position i can add.
+    rest1, rest2 = [0] * n, [0] * n
+    for i in range(n - 1, 0, -1):
+        rest1[i - 1] = rest1[i] + a1s[i] * caps[i]
+        rest2[i - 1] = rest2[i] + a2s[i] * caps[i]
+    values = [0] * n
 
-    def walk(i: int, assign: dict[str, int], slacks: list[int], r1: int, r2: int):
-        if i == len(order):
-            if r1 == t1 and r2 == t2:
-                return dict(assign)
-            return None
-        v = order[i]
-        rest = order[i + 1:]
-        max_r1_rest = sum(r1_def.get(u, 0) * caps[u] for u in rest)
-        max_r2_rest = sum(r2_def.get(u, 0) * caps[u] for u in rest)
-        a1, a2, coeffs = r1_def.get(v, 0), r2_def.get(v, 0), column[v]
-        for val in range(caps[v] + 1):
+    def walk(i: int, slacks: list[int], r1: int, r2: int) -> bool:
+        if i == n:
+            return r1 == t1 and r2 == t2
+        a1, a2, column = a1s[i], a2s[i], columns[i]
+        for val in range(caps[i] + 1):
             nr1 = r1 + a1 * val
             nr2 = r2 + a2 * val
             if nr1 > t1 or nr2 > t2:
                 break
-            new = [s - val * c for s, c in zip(slacks, coeffs)]
-            if any(s < 0 for s in new):
+            new = [s - val * c for s, c in zip(slacks, column)]
+            if min(new) < 0:
                 break
-            if nr1 + max_r1_rest < t1 or nr2 + max_r2_rest < t2:
+            if nr1 + rest1[i] < t1 or nr2 + rest2[i] < t2:
                 continue
-            assign[v] = val
-            found = walk(i + 1, assign, new, nr1, nr2)
-            if found is not None:
-                return found
-            del assign[v]
-        return None
+            values[i] = val
+            if walk(i + 1, new, nr1, nr2):
+                return True
+        return False
 
-    found = walk(0, {}, bounds, 0, 0)
-    if found is None:
+    if not walk(0, bounds, 0, 0):
         raise SchemeError(f"no integer allocation reaches {target} for {p} (regime {regime.value})")
-    values = {v: found.get(v, 0) for v in system.vars}
-    return RateAllocation.of(regime, values)
+    return RateAllocation.of(regime, dict(zip(order, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -805,10 +807,10 @@ _BUILDERS = {
 
 def build_scheme(p: ChannelParams, alloc: RateAllocation) -> Scheme:
     """Materialize the full per-use signal plan for a feasible allocation."""
-    system = constraint_system(alloc.regime, p)
+    _require_regime(alloc.regime, p)
+    vars, rows, _ = _SYSTEMS[alloc.regime]
     d = alloc.as_dict()
-    for q in system.ineqs:
-        lhs = sum(int(c) * d.get(v, 0) for v, c in q.coeffs.items())
-        if lhs > q.bound:
-            raise SchemeError(f"allocation {d} violates {q}")
+    for k, (row, b) in enumerate(zip(rows, _bounds(alloc.regime, p))):
+        if sum(c * d.get(v, 0) for v, c in zip(vars, row)) > b:
+            raise SchemeError(f"allocation {d} violates {constraint_system(alloc.regime, p).ineqs[k]}")
     return _BUILDERS[alloc.regime](p, alloc)

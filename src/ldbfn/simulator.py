@@ -444,10 +444,9 @@ def integer_corners(p: ChannelParams) -> list[tuple[int, int]]:
     return corners
 
 
-def verify_params(p: ChannelParams, n_blocks: int = 8, seed: int = 1) -> list[SweepFailure]:
-    """Allocate, build and run every corner of one tuple; collect failures."""
+def _verify_corners(p, corners, n_blocks, seed) -> list[SweepFailure]:
     failures = []
-    for corner in integer_corners(p):
+    for corner in corners:
         scheme = build_scheme(p, allocate(p, corner))
         _, report = run(scheme, n_blocks, seed)
         expected = (n_blocks * corner[0], n_blocks * corner[1])
@@ -456,11 +455,16 @@ def verify_params(p: ChannelParams, n_blocks: int = 8, seed: int = 1) -> list[Sw
     return failures
 
 
+def verify_params(p: ChannelParams, n_blocks: int = 8, seed: int = 1) -> list[SweepFailure]:
+    """Allocate, build and run every corner of one tuple; collect failures."""
+    return _verify_corners(p, integer_corners(p), n_blocks, seed)
+
+
 def _verify_tuple(args: tuple) -> tuple[int, list[SweepFailure]]:
     levels, n_blocks, seed = args
     p = ChannelParams(*levels)
-    failures = verify_params(p, n_blocks, seed)
-    return len(integer_corners(p)), failures
+    corners = integer_corners(p)
+    return len(corners), _verify_corners(p, corners, n_blocks, seed)
 
 
 def sweep_threads() -> int:

@@ -200,6 +200,13 @@ class TestFmCheck:
         assert code == 2
         assert "line 1" in err
 
+    def test_all_zero_left_side_exit_two(self, capsys, tmp_path):
+        fixture = tmp_path / "zero.txt"
+        fixture.write_text("x <= 1\n0*x <= 3\nR1 = x\nR2 = x\n")
+        code, out, err = run_cli(capsys, "fm-check", "--system", str(fixture))
+        assert_error_line(code, out, err)
+        assert f"{fixture}: line 2:" in err
+
     def test_missing_file_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "fm-check", "--system", "/nonexistent/x.txt")
         assert code == 2

@@ -67,6 +67,17 @@ class TestEliminate:
             eliminate(IneqSystem(("x",), (ineq({"x": 1}, 1),)), "zz")
 
 
+class TestLinearIneq:
+    @pytest.mark.parametrize("coeffs, bound", [
+        ({"x": Fraction(1, 2)}, 1),
+        ({"x": 1}, Fraction(3, 2)),
+        ({"x": 1.0}, 1),
+    ])
+    def test_non_integer_rejected(self, coeffs, bound):
+        with pytest.raises(ValueError):
+            LinearIneq.of(coeffs, bound)
+
+
 class TestProjectToRates:
     def test_regime_a_formulas(self):
         nc, ns, nr = 2, 1, 3

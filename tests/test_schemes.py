@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -8,12 +10,15 @@ from ldbfn import (
     ChannelParams,
     InfeasibleTargetError,
     RateAllocation,
+    RatePoint,
     Regime,
+    SchemeError,
     allocate,
     build_scheme,
     constraint_system,
     integer_corners,
     achievable_region,
+    applicable_regimes,
     rate_definitions,
 )
 from ldbfn.schemes import ALLOC_ORDER, Subtract
@@ -47,6 +52,15 @@ class TestConstraintSystems:
         by_vars = {frozenset(q.coeffs): int(q.bound) for q in system.ineqs}
         assert by_vars[frozenset({"Rbar1d", "Rbar2d"})] == 0
         assert by_vars[frozenset({"Rn"})] == 0
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_rows_are_integral(self, regime):
+        for tup in product(range(5), repeat=4):
+            p = ChannelParams(*tup)
+            if regime in applicable_regimes(p):
+                for q in constraint_system(regime, p).ineqs:
+                    assert type(q.bound) is int
+                    assert all(type(c) is int for c in q.coeffs.values())
 
     def test_regime_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -87,6 +101,21 @@ class TestAllocate:
         with pytest.raises(InfeasibleTargetError) as err:
             allocate(SHOWCASE, (3, 0))
         assert "1*R1 + 0*R2 <= 2" in str(err.value)
+
+    def test_accepts_exactly_the_region_on_a_box(self):
+        for tup in product(range(5), repeat=4):
+            p = ChannelParams(*tup)
+            region = achievable_region(p)
+            cap = max(max(c) for c in integer_corners(p))
+            for t1, t2 in product(range(-1, cap + 2), repeat=2):
+                try:
+                    accepted = allocate(p, (t1, t2)).rate_pair() == (t1, t2)
+                except InfeasibleTargetError as err:
+                    accepted = False
+                    if t1 >= 0 and t2 >= 0:
+                        assert err.violated is not None
+                        assert not err.violated.holds(RatePoint(Fraction(t1), Fraction(t2)))
+                assert accepted == region.contains((t1, t2)), (tup, t1, t2)
 
     def test_every_corner_allocatable_small_lattice(self):
         for tup in product(range(4), repeat=4):
@@ -132,9 +161,8 @@ class TestBuildScheme:
         bad = RateAllocation.of(
             Regime.A, {"Rc1": 5, "Rc2": 0, "R1d": 0, "R2d": 0}
         )
-        from ldbfn import SchemeError
-
-        with pytest.raises(SchemeError):
+        violated = "LinearIneq(coeffs={'Rc1': 1, 'Rc2': 1, 'R1d': 1, 'R2d': 1}, bound=1)"
+        with pytest.raises(SchemeError, match=re.escape(f"violates {violated}")):
             build_scheme(ChannelParams(2, 1, 3, 0), bad)
 
     def test_layouts_fit_inside_q_and_relay_extents(self):

@@ -26,6 +26,7 @@ from ldbfn import (
     verify_corner_sweep,
     verify_params,
 )
+from ldbfn import simulator
 from ldbfn.schemes import Binding, Subtract
 
 
@@ -176,6 +177,18 @@ class TestSweep:
         summary = verify_corner_sweep(2, n_blocks=8, seed=3)
         assert summary.ok
         assert summary.n_params == 81
+
+    def test_corners_computed_once_per_tuple(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return integer_corners(p)
+
+        monkeypatch.delenv("LDBFN_THREADS", raising=False)
+        monkeypatch.setattr(simulator, "integer_corners", counting)
+        summary = verify_corner_sweep(2, n_blocks=4)
+        assert summary.ok and len(calls) == summary.n_params == 81
 
     def test_worker_processes_give_the_serial_result(self, monkeypatch):
         serial = verify_corner_sweep(1, n_blocks=4)
