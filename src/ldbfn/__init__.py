@@ -37,7 +37,6 @@ from .fm import (
     InfeasibleSystemError,
     LinearIneq,
     SystemParseError,
-    eliminate,
     enumerate_integer_projection,
     parse_system,
     project_to_rates,

@@ -36,7 +36,7 @@ from .regions import (
     regions_equal,
     sum_capacity,
 )
-from .schemes import InfeasibleTargetError, allocate, build_scheme, rate_definitions, constraint_system
+from .schemes import InfeasibleTargetError, allocate, build_scheme, constraint_system, projected_region, rate_definitions
 from .simulator import run, integer_corners, parallel_map
 
 SWEEP_COLUMNS = ["nc", "ns", "nr", "nf", "regime", "sum_capacity", "net_gain", "thm2_equal", "corners"]
@@ -154,13 +154,9 @@ def _sweep_row(job: tuple[tuple[int, int, int, int], bool]) -> dict:
         "corners": _corners_str(p),
     }
     if with_oracle:
-        system = constraint_system(regime, p)
-        r1d, r2d = rate_definitions(regime)
-        projected = project_to_rates(system, r1d, r2d)
-        row["fm_oracle_equal"] = (
-            enumerate_integer_projection(system, r1d, r2d) == integer_points(projected)
-            and regions_equal(projected, outer)
-        )
+        projected = projected_region(regime, p)
+        oracle = enumerate_integer_projection(constraint_system(regime, p), *rate_definitions(regime))
+        row["fm_oracle_equal"] = oracle == integer_points(projected) and regions_equal(projected, outer)
     return row
 
 

@@ -8,6 +8,16 @@ projects the polyhedron exactly.  Coefficients and bounds are integral by
 construction (:class:`LinearIneq` accepts nothing else), so all arithmetic
 is on ints and nothing is ever rounded.
 
+Bounds are integer linear forms over some parameters (a concrete bound b is
+the form (b,) over the value 1): which rows pair up depends on the
+coefficients alone, so one elimination serves every value.  A derived row with
+no coefficient left, ``0 <= form``, is a condition checked once the forms are
+filled in.  To project onto (R1, R2) both become parameters: each condition
+``0 <= form + c1*R1 + c2*R2`` is the row ``-c1*R1 - c2*R2 <= form``, or, if
+c1 = c2 = 0, one of feasibility.  Keeping every stage allows FM
+back-substitution (Dantzig and Eaves, JCT A 1973; Schrijver, *Theory of Linear
+and Integer Programming*, 12.2): see :func:`lexmin_chain`.
+
 Redundant rows are pruned by history (Chernikov's rule, as compared in
 Imbert, "Fourier's elimination: which to choose?", PPCP 1993).  Each row
 carries the set of original rows it is a non-negative combination of: the
@@ -15,7 +25,7 @@ system's inequalities, the rate definitions and each ``-var <= 0`` added
 when ``var`` is eliminated.  After k eliminations a row whose history has
 more than k + 1 members is implied by the others and is never formed.  No
 other pruning happens between steps, since dropping a dominated row could
-break that argument; the final 2-D :func:`canonicalize` removes what is
+break that argument; the final 2-D :func:`canonical_region` removes what is
 left over.
 
 A brute-force companion, :func:`enumerate_integer_projection`, walks every
@@ -27,17 +37,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping
+from math import gcd, prod
+from operator import mul
+from typing import Iterable, Mapping, NamedTuple
 
-from .regions import Halfspace, RateRegion, canonicalize
+from .regions import RateRegion, canonical_region
 
-# A row is (coeffs, bound) with integer coeffs aligned to a var tuple.
-Row = tuple[tuple[int, ...], int]
+Form = tuple[int, ...]  # a bound's coefficients over the parameters
+# A row is (coeffs, bound form) with integer coeffs aligned to a var tuple.
+Row = tuple[tuple[int, ...], Form]
 # During elimination a row also carries its history: a bitmask of the
 # original rows it is a non-negative combination of.
-HistRow = tuple[tuple[int, ...], int, int]
+HistRow = tuple[tuple[int, ...], Form, int]
 
 ENUMERATION_LIMIT = 10**8
 
@@ -46,8 +57,21 @@ class InfeasibleSystemError(Exception):
     """The inequality system admits no non-negative solution."""
 
 
+class EmptyIntervalError(ArithmeticError):
+    """Back-substitution rounded a variable above the top of its interval."""
+
+
 class EnumerationLimitError(RuntimeError):
     """The integer enumeration would exceed the combination budget."""
+
+
+class Chain(NamedTuple):
+    """FM back-substitution table (see :func:`lexmin_chain`)."""
+
+    names: tuple[str, ...]
+    lower: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    checks: tuple[tuple[int, ...], ...]
+    conditions: tuple[Form, ...]
 
 
 class SystemParseError(ValueError):
@@ -90,21 +114,18 @@ class IneqSystem:
 
 
 def _to_rows(vars: tuple[str, ...], ineqs: Iterable[LinearIneq]) -> list[Row]:
-    return [_normalize(tuple(q.coeffs.get(v, 0) for v in vars), q.bound) for q in ineqs]
+    return [_normalize([q.coeffs.get(v, 0) for v in vars] + [q.bound], len(vars)) for q in ineqs]
 
 
-def _normalize(coeffs: tuple[int, ...], b: int) -> Row:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(b))
+def _normalize(v: list[int], k: int) -> Row:
+    """The row ``coeffs + form`` given flat, divided by its gcd and split after ``k`` coefficients."""
+    g = gcd(*v)
     if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        b //= g
-    return (coeffs, b)
+        v = [x // g for x in v]
+    return tuple(v[:k]), tuple(v[k:])
 
 
-def _eliminate_rows(rows: list[HistRow], step: int, unit_bit: int) -> list[HistRow]:
+def _eliminate_rows(rows: list[HistRow], step: int, unit_bit: int, conditions: set[Form]) -> list[HistRow]:
     """The ``step``-th elimination (1-based): project out column 0, then drop it.
 
     Every row with a positive coefficient on the variable ``v`` is paired
@@ -112,52 +133,43 @@ def _eliminate_rows(rows: list[HistRow], step: int, unit_bit: int) -> list[HistR
     which joins the original rows here under ``unit_bit``.  A derived row
     whose history has more than ``step + 1`` bits is redundant (Chernikov's
     rule), so such pairs are never formed; rows merge only when coefficients,
-    bound and history all agree.  Raises :class:`InfeasibleSystemError` on a
-    derived ``0 <= negative``.
+    bound form and history all agree.  A derived ``0 <= form`` goes to
+    ``conditions``.
     """
     if not rows:
         return []
-    unit = ((-1,) + (0,) * (len(rows[0][0]) - 1), 0, unit_bit)
-    pos, neg, out = [], [unit], set()
-    for row in rows:
-        c = row[0][0]
+    # Each side holds (|coefficient on v|, the other coefficients and the form as one vector, history).
+    k = len(rows[0][0]) - 1
+    pos, neg, out = [], [(1, (0,) * (k + len(rows[0][1])), unit_bit)], set()
+    for coeffs, form, h in rows:
+        c = coeffs[0]
         if c > 0:
-            pos.append(row)
+            pos.append((c, coeffs[1:] + form, h))
         elif c < 0:
-            neg.append(row)
+            neg.append((-c, coeffs[1:] + form, h))
         else:
-            out.add((row[0][1:], row[1], row[2]))
-    for pc, pb, ph in pos:
-        for nc, nb, nh in neg:
+            out.add((coeffs[1:], form, h))
+    for mn, pv, ph in pos:
+        for mp, nv, nh in neg:
             h = ph | nh
-            if h.bit_count() > step + 1:
-                continue
-            mp, mn = -nc[0], pc[0]
-            coeffs = tuple(mp * a + mn * b for a, b in zip(pc[1:], nc[1:]))
-            out.add(_normalize(coeffs, mp * pb + mn * nb) + (h,))
+            if h.bit_count() <= step + 1:
+                out.add(_normalize([mp * a + mn * b for a, b in zip(pv, nv)], k) + (h,))
     kept = []
-    for coeffs, b, h in sorted(out):
+    for coeffs, form, h in out:
         if any(coeffs):
-            kept.append((coeffs, b, h))
-        elif b < 0:
-            raise InfeasibleSystemError("system is infeasible")
+            kept.append((coeffs, form, h))
+        else:
+            conditions.add(form)
     return kept
 
 
-def _with_history(rows: list[Row]) -> list[HistRow]:
-    """Tag each original row with its own history bit."""
-    return [(coeffs, b, 1 << i) for i, (coeffs, b) in enumerate(rows)]
-
-
-def eliminate(system: IneqSystem, var: str) -> IneqSystem:
-    """One exact elimination step; the result never references ``var``."""
-    if var not in system.vars:
-        raise ValueError(f"variable {var!r} not declared in system")
-    new_vars = tuple(v for v in system.vars if v != var)
-    rows = _with_history(_to_rows((var,) + new_vars, system.ineqs))
-    rows = _eliminate_rows(rows, 1, 1 << len(rows))
-    unique = dict.fromkeys((coeffs, b) for coeffs, b, _ in rows)
-    return IneqSystem(new_vars, tuple(LinearIneq.of(dict(zip(new_vars, c)), b) for c, b in unique))
+def _eliminate(rows: list[Row], count: int, conditions: set[Form]) -> list[list[HistRow]]:
+    """All ``count + 1`` stages of eliminating the first ``count`` columns; rows get history bits."""
+    conditions.update(form for coeffs, form in rows if not any(coeffs))
+    stages = [[(coeffs, form, 1 << i) for i, (coeffs, form) in enumerate(rows) if any(coeffs)]]
+    for step in range(1, count + 1):
+        stages.append(_eliminate_rows(stages[-1], step, 1 << (len(rows) + step - 1), conditions))
+    return stages
 
 
 def _check_defs(system: IneqSystem, name: str, d: Mapping[str, int]) -> None:
@@ -168,35 +180,79 @@ def _check_defs(system: IneqSystem, name: str, d: Mapping[str, int]) -> None:
             raise ValueError(f"{name} coefficient on {v!r} must be a non-negative integer")
 
 
-def project_to_rates(
-    system: IneqSystem,
-    r1_def: Mapping[str, int],
-    r2_def: Mapping[str, int],
-) -> RateRegion:
+def with_rates(vars: tuple[str, ...], rows: list[Row], r1_def: Mapping[str, int],
+               r2_def: Mapping[str, int], width: int = 1) -> list[Row]:
+    """``rows`` with R1, R2 as parameters after the ``width`` others; ``R = d`` adds ``d <= R``, ``-d <= -R``."""
+    out = [(coeffs, form + (0, 0)) for coeffs, form in rows]
+    for unit, d in (((1, 0), r1_def), ((0, 1), r2_def)):
+        coeffs = tuple(d.get(v, 0) for v in vars)
+        out += [(coeffs, (0,) * width + unit), (tuple(-c for c in coeffs), (0,) * width + (-unit[0], -unit[1]))]
+    return out
+
+
+def evaluate_projection(conditions: Iterable[Form], values: tuple[int, ...]) -> RateRegion:
+    """The canonical region that conditions over (``values``, R1, R2) leave at ``values``; one
+    without R1, R2 that fails raises :class:`InfeasibleSystemError`, else the region is non-empty."""
+    rows = []
+    for *form, c1, c2 in conditions:
+        b = sum(map(mul, form, values))
+        if c1 or c2:
+            rows.append((-c1, -c2, b))
+        elif b < 0:
+            raise InfeasibleSystemError("system is infeasible")
+    return canonical_region(rows)
+
+
+def project_to_rates(system: IneqSystem, r1_def: Mapping[str, int], r2_def: Mapping[str, int]) -> RateRegion:
     """Project onto (R1, R2) where R1/R2 are the given combinations of vars.
 
-    The two rate definitions are adjoined as equalities (a pair of opposing
-    inequalities each) and every component variable is eliminated in
-    declaration order.  Raises :class:`InfeasibleSystemError` for systems
+    Eliminates the vars in declaration order.  Raises :class:`InfeasibleSystemError` for systems
     with no solution, which is distinct from the degenerate region {(0,0)}.
     """
     _check_defs(system, "r1_def", r1_def)
     _check_defs(system, "r2_def", r2_def)
-    vars = system.vars + ("R1", "R2")
-    rows = _to_rows(vars, system.ineqs)
-    for rate, d in (("R1", r1_def), ("R2", r2_def)):
-        fwd = tuple(-1 if v == rate else d.get(v, 0) for v in vars)
-        rows += [(fwd, 0), (tuple(-c for c in fwd), 0)]
-    n_orig = len(rows)
-    rows = _with_history(rows)
-    for step in range(1, len(system.vars) + 1):
-        rows = _eliminate_rows(rows, step, 1 << (n_orig + step - 1))
+    conditions: set[Form] = set()
+    rows = with_rates(system.vars, _to_rows(system.vars, system.ineqs), r1_def, r2_def)
+    _eliminate(rows, len(system.vars), conditions)
+    return evaluate_projection(conditions, (1,))
 
-    # An infeasible system has already raised: the rows derived from its
-    # inequalities alone are those of their own elimination, which ends in
-    # 0 <= negative.  So the region here is never empty.
-    halfspaces = tuple(Halfspace(Fraction(a1), Fraction(a2), Fraction(b)) for (a1, a2), b, _ in rows)
-    return canonicalize(RateRegion(halfspaces))
+
+def lexmin_chain(names: tuple[str, ...], rows: list[Row]) -> Chain:
+    """Back-substitution table of ``rows``, aligned to ``names`` in the order they are fixed.
+
+    The columns are eliminated last to first.  Of column k's stage only its lower-bound rows are
+    kept, ``-m*x_k + sum(a_j*x_j, j < k) <= form`` as ``(m, form + (-a_1, ..., -a_k-1))``; the
+    original rows as ``form - coeffs``; and the conditions left, a projection if R1, R2 are parameters.
+    """
+    conditions: set[Form] = set()
+    stages = _eliminate([(coeffs[::-1], form) for coeffs, form in rows], len(names), conditions)
+    lower = tuple(tuple(sorted({(-c[0], form + tuple(-a for a in c[:0:-1])) for c, form, _ in stage if c[0] < 0}))
+                  for stage in reversed(stages[:-1]))
+    checks = tuple(form + tuple(-c for c in coeffs) for coeffs, form in rows)
+    return Chain(names, lower, checks, tuple(sorted(conditions)))
+
+
+def integer_lexmin(chain: Chain, params: tuple[int, ...]) -> list[int]:
+    """The chain's integer lexicographic minimum at ``params``.
+
+    Each column takes the ceiling of its lower bound at its stage (at least 0), which integer points
+    agreeing on the earlier columns respect: a point passing the original rows is the minimum.  Else
+    :class:`EmptyIntervalError` names the last column of a failing original row, its upper bound.
+    """
+    names, lower, checks, _ = chain
+    point = list(params)
+    for lows in lower:
+        x = 0
+        for m, vec in lows:
+            lo = -(sum(map(mul, vec, point)) // m)
+            if lo > x:
+                x = lo
+        point.append(x)
+    for vec in checks:
+        if sum(map(mul, vec, point)) < 0:
+            last = max(i for i, c in enumerate(vec[len(params):]) if c)
+            raise EmptyIntervalError(f"no integer value of {names[last]} fits its interval")
+    return point[len(params):]
 
 
 def enumerate_integer_projection(
@@ -217,53 +273,50 @@ def enumerate_integer_projection(
     _check_defs(system, "r2_def", r2_def)
     rows = _to_rows(system.vars, system.ineqs)
     if bound is None:
-        bound = max((r[1] for r in rows), default=0)
-        bound = max(bound, 0)
+        bound = max([0] + [b for _, (b,) in rows])
     nv = len(system.vars)
 
     caps = []
     for i in range(nv):
         cap = bound
-        for coeffs, b in rows:
+        for coeffs, (b,) in rows:
             c = coeffs[i]
             if c > 0 and all(x >= 0 for x in coeffs):
                 cap = min(cap, b // c if b >= 0 else -1)
         caps.append(max(cap, -1))
-    total = 1
-    for cap in caps:
-        total *= cap + 1
-        if total > ENUMERATION_LIMIT:
-            raise EnumerationLimitError(
-                f"enumeration needs more than {ENUMERATION_LIMIT} combinations; "
-                "use a smaller instance or bound"
-            )
+    if prod(cap + 1 for cap in caps) > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"enumeration needs more than {ENUMERATION_LIMIT} combinations; use a smaller instance or bound"
+        )
 
     r1c = [r1_def.get(v, 0) for v in system.vars]
     r2c = [r2_def.get(v, 0) for v in system.vars]
     achieved: set[tuple[int, int]] = set()
-
-    def rest_min(i: int, coeffs: tuple[int, ...]) -> int:
-        # Smallest possible remaining contribution to a row (negative coeffs
-        # may still lower the sum, so pruning stays exact).
-        return sum(c * caps[j] for j, c in enumerate(coeffs[i:], start=i) if c < 0)
-
+    # columns[i]: the rows' coefficients on variable i.  rest[i]: per row, the smallest contribution
+    # variables i.. can make (negative coefficients may still lower the sum, so pruning stays exact).
+    columns = [tuple(coeffs[i] for coeffs, _ in rows) for i in range(nv)]
+    rest = [(0,) * len(rows)]
+    for i in reversed(range(nv)):
+        rest.insert(0, tuple(r + c * caps[i] if c < 0 else r for r, c in zip(rest[0], columns[i])))
     all_nonneg = all(c >= 0 for coeffs, _ in rows for c in coeffs)
 
     def walk(i: int, slacks: list[int], r1: int, r2: int) -> None:
         if i == nv:
             achieved.add((r1, r2))
             return
+        column, floor = columns[i], rest[i + 1]
         for val in range(caps[i] + 1):
-            new = [s - val * rows[k][0][i] for k, s in enumerate(slacks)]
+            new = [s - val * c for s, c in zip(slacks, column)]
             # A row is unsatisfiable iff even the smallest completion overshoots.
-            if any(new[k] < rest_min(i + 1, rows[k][0]) for k in range(len(rows))):
+            if any(s < m for s, m in zip(new, floor)):
                 if all_nonneg:
                     break  # larger values only make it worse
                 continue
             walk(i + 1, new, r1 + r1c[i] * val, r2 + r2c[i] * val)
 
-    if all(b >= rest_min(0, coeffs) for (coeffs, b) in rows):
-        walk(0, [b for _, b in rows], 0, 0)
+    bounds = [b for _, (b,) in rows]
+    if all(b >= m for b, m in zip(bounds, rest[0])):
+        walk(0, bounds, 0, 0)
     return achieved
 
 

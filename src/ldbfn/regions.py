@@ -36,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .gf2 import ChannelParams
 
@@ -276,9 +276,14 @@ def canonicalize(region: RateRegion) -> RateRegion:
     Other unbounded regions are full-dimensional and keep the irredundant
     subset of the given halfspaces, their facets, which is unique as well.
     """
+    return canonical_region(integer_rows(region))
+
+
+def canonical_region(rows: Iterable[Row]) -> RateRegion:
+    """:func:`canonicalize` of the region given by integer rows ``(a1, a2, b)``, each of any positive scale."""
     tightest: dict[tuple[int, int], int] = {}
-    for h in region.halfspaces:
-        a1, a2, b = row = _int_row(h)
+    for row in rows:
+        a1, a2, b = row = _primitive(*row)
         if _axis_implied(row):
             continue
         tightest[a1, a2] = min(b, tightest.get((a1, a2), b))
@@ -310,16 +315,20 @@ def is_bounded(region: RateRegion) -> bool:
     return not _recession_rays(integer_rows(region))
 
 
-def corner_points(region: RateRegion) -> list[RatePoint]:
-    """All polytope vertices, walked clockwise starting from the origin.
+def corner_vertices(region: RateRegion) -> list[Vertex]:
+    """All polytope vertices as triples ``(n1, n2, d)``, walked clockwise from the origin.
 
     The walk starts at (0,0), climbs the R2 axis, crosses the frontier with
     R1 increasing and ends on the R1 axis.
     """
     verts = _bounded_vertices(integer_rows(region))
     m = lcm(*(d for _, _, d in verts))
-    walk = sorted(verts, key=lambda t: (t != (0, 0, 1), t[0] * (m // t[2]), -t[1] * (m // t[2])))
-    return [RatePoint(Fraction(n1, d), Fraction(n2, d)) for n1, n2, d in walk]
+    return sorted(verts, key=lambda t: (t != (0, 0, 1), t[0] * (m // t[2]), -t[1] * (m // t[2])))
+
+
+def corner_points(region: RateRegion) -> list[RatePoint]:
+    """All polytope vertices in the order of :func:`corner_vertices`."""
+    return [RatePoint(Fraction(n1, d), Fraction(n2, d)) for n1, n2, d in corner_vertices(region)]
 
 
 def regions_equal(a: RateRegion, b: RateRegion) -> bool:

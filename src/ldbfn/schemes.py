@@ -32,6 +32,15 @@ assignment in the documented per-regime variable order: D-components first,
 so they are only used when a corner is not reachable without them, and
 within split components the half that costs two destination levels first,
 so allocation lands in the cheaper half.
+
+Each regime's rows, with R1 = t1 and R2 = t2 adjoined, are eliminated once at
+import, in reverse allocation order, bounds kept as forms in (nc, ns, nr, nf,
+t1, t2).  The conditions left are the (R1, R2) projection the sweep checks.
+The stages drive :func:`allocate`: in allocation order each variable takes the
+ceiling of its lower bound at its stage, the exact projection onto the
+variables so far, so no integer allocation with the same earlier values has a
+smaller one.  If the values meet every row they are the lexicographic minimum;
+otherwise a ceiling overshot its interval, and SchemeError names the variable.
 """
 
 from __future__ import annotations
@@ -40,9 +49,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .fm import IneqSystem, LinearIneq
+from .fm import EmptyIntervalError, IneqSystem, LinearIneq, evaluate_projection, integer_lexmin, lexmin_chain, with_rates
 from .gf2 import ChannelParams, SignalLayout, Slot
-from .regions import RatePoint, Regime, applicable_regimes, achievable_region, integer_rows, regime_of
+from .regions import RatePoint, RateRegion, Regime, applicable_regimes, achievable_region, integer_rows, regime_of
 
 
 class SchemeError(RuntimeError):
@@ -163,6 +172,23 @@ def rate_definitions(regime: Regime) -> tuple[dict[str, int], dict[str, int]]:
     )
 
 
+def _alloc_rows(regime: Regime) -> list:
+    """The regime's rows in ``ALLOC_ORDER`` with bounds over (nc, ns, nr, nf, t1, t2), R1 = t1, R2 = t2."""
+    vars, rows, forms = _SYSTEMS[regime]
+    cols = [vars.index(v) for v in ALLOC_ORDER[regime]]
+    rows = [(tuple(row[i] for i in cols), form) for row, form in zip(rows, forms)]
+    return with_rates(ALLOC_ORDER[regime], rows, *rate_definitions(regime), 4)
+
+
+_CHAINS = {r: lexmin_chain(ALLOC_ORDER[r], _alloc_rows(r)) for r in Regime}
+
+
+def projected_region(regime: Regime, p: ChannelParams) -> RateRegion:
+    """FM projection of ``constraint_system(regime, p)``, read off the regime's one elimination."""
+    _require_regime(regime, p)
+    return evaluate_projection(_CHAINS[regime].conditions, (p.nc, p.ns, p.nr, p.nf))
+
+
 @dataclass(frozen=True)
 class RateAllocation:
     """Feasible integer assignment of the regime's component rates."""
@@ -211,46 +237,11 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
         )
 
     regime = regime_of(p)
-    vars, rows, _ = _SYSTEMS[regime]
-    bounds = _bounds(regime, p)
-    r1_def, r2_def = rate_definitions(regime)
-    order = ALLOC_ORDER[regime]
-    n = len(order)
-    by_var = dict(zip(vars, zip(*rows)))
-    columns = [by_var[v] for v in order]
-    a1s = [r1_def.get(v, 0) for v in order]
-    a2s = [r2_def.get(v, 0) for v in order]
-
-    caps = [min([max(t1, t2)] + [b // c for c, b in zip(column, bounds) if c > 0]) for column in columns]
-    # The largest R1 and R2 that the variables after position i can add.
-    rest1, rest2 = [0] * n, [0] * n
-    for i in range(n - 1, 0, -1):
-        rest1[i - 1] = rest1[i] + a1s[i] * caps[i]
-        rest2[i - 1] = rest2[i] + a2s[i] * caps[i]
-    values = [0] * n
-
-    def walk(i: int, slacks: list[int], r1: int, r2: int) -> bool:
-        if i == n:
-            return r1 == t1 and r2 == t2
-        a1, a2, column = a1s[i], a2s[i], columns[i]
-        for val in range(caps[i] + 1):
-            nr1 = r1 + a1 * val
-            nr2 = r2 + a2 * val
-            if nr1 > t1 or nr2 > t2:
-                break
-            new = [s - val * c for s, c in zip(slacks, column)]
-            if min(new) < 0:
-                break
-            if nr1 + rest1[i] < t1 or nr2 + rest2[i] < t2:
-                continue
-            values[i] = val
-            if walk(i + 1, new, nr1, nr2):
-                return True
-        return False
-
-    if not walk(0, bounds, 0, 0):
-        raise SchemeError(f"no integer allocation reaches {target} for {p} (regime {regime.value})")
-    return RateAllocation.of(regime, dict(zip(order, values)))
+    try:
+        values = integer_lexmin(_CHAINS[regime], (p.nc, p.ns, p.nr, p.nf, t1, t2))
+    except EmptyIntervalError as e:
+        raise SchemeError(f"{e}: no integer allocation reaches {target} for {p} (regime {regime.value})") from None
+    return RateAllocation.of(regime, dict(zip(ALLOC_ORDER[regime], values)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +386,7 @@ class _Builder:
         self.streams: dict[str, int] = {}
         self.sums: dict[str, tuple[str, ...]] = {}
         self.slots: dict[str, list[Slot]] = {k: [] for k in ("x1", "x2", "xr", "xf")}
+        self.named: dict[str, dict[str, Slot]] = {k: {} for k in ("x1", "x2", "xr", "xf")}
         self.bindings: dict[str, list[Binding]] = {k: [] for k in ("x1", "x2", "xr", "xf")}
         self.overlaps: dict[str, set[frozenset[str]]] = {k: set() for k in ("x1", "x2", "xr", "xf")}
         self.plans: dict[int, list[DecodeStep]] = {0: [], 1: [], 2: [], 3: [], 4: []}
@@ -410,7 +402,8 @@ class _Builder:
            stream: str, offset: int, take: int = 0) -> None:
         if length <= 0:
             return
-        self.slots[signal].append(Slot(name, start, length))
+        self.slots[signal].append(slot := Slot(name, start, length))
+        self.named[signal].setdefault(name, slot)
         self.bindings[signal].append(Binding(name, stream, offset, take))
 
     def tx_xor(self, signal: str, name: str, start: int, length: int,
@@ -418,21 +411,19 @@ class _Builder:
         """One slot fed by the XOR of several (stream, offset) bindings."""
         if length <= 0:
             return
-        self.slots[signal].append(Slot(name, start, length))
+        self.slots[signal].append(slot := Slot(name, start, length))
+        self.named[signal].setdefault(name, slot)
         for stream, offset in parts:
             if self.streams.get(stream, 0) > 0:
                 self.bindings[signal].append(Binding(name, stream, offset))
 
     def declare_overlap(self, signal: str, a: str, b: str) -> None:
-        names = {s.name for s in self.slots[signal]}
+        names = self.named[signal]
         if a in names and b in names:
             self.overlaps[signal].add(frozenset((a, b)))
 
     def _slot(self, signal: str, name: str) -> Slot | None:
-        for s in self.slots[signal]:
-            if s.name == name:
-                return s
-        return None
+        return self.named[signal].get(name)
 
     def land(self, signal: str, name: str, gain: int) -> tuple[int, int]:
         """(receive position, visible length) of a transmitted slot."""

@@ -33,7 +33,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .gf2 import BitVector, ChannelParams, NetworkInputs, NetworkOutputs, channel_step, channel_words
-from .regions import Regime, corner_points, frac_to_json, achievable_region
+from .regions import Regime, corner_vertices, frac_to_json, achievable_region
 from .schemes import (
     Read,
     Scheme,
@@ -436,12 +436,10 @@ class SweepSummary:
 
 def integer_corners(p: ChannelParams) -> list[tuple[int, int]]:
     """Corner points of the capacity region; always integral for this model."""
-    corners = []
-    for pt in corner_points(achievable_region(p)):
-        if pt.r1.denominator != 1 or pt.r2.denominator != 1:
-            raise SchemeError(f"non-integer corner {pt} for {p}")
-        corners.append((int(pt.r1), int(pt.r2)))
-    return corners
+    corners = corner_vertices(achievable_region(p))
+    if any(d != 1 for _, _, d in corners):
+        raise SchemeError(f"non-integer corner among {corners} for {p}")
+    return [(n1, n2) for n1, n2, _ in corners]
 
 
 def _verify_corners(p, corners, n_blocks, seed) -> list[SweepFailure]:

@@ -22,7 +22,8 @@ from ldbfn import (
     regions_equal,
     unpack,
 )
-from ldbfn.fm import IneqSystem, eliminate
+from ldbfn import fm
+from ldbfn.fm import IneqSystem
 from ldbfn.regions import Halfspace, canonicalize, corner_points
 
 
@@ -105,10 +106,10 @@ def test_elimination_order_independence():
 def test_full_elimination_leaves_only_trivial_constants():
     for p in (ChannelParams(2, 1, 3, 0), ChannelParams(2, 3, 1, 1)):
         system = constraint_system(regime_of(p), p)
-        for v in system.vars:
-            system = eliminate(system, v)
-        # Trivial rows 0 <= b are dropped, and 0 <= negative would raise.
-        assert system.vars == () and system.ineqs == ()
+        conditions = set()
+        stages = fm._eliminate(fm._to_rows(system.vars, system.ineqs), len(system.vars), conditions)
+        # No row keeps a coefficient, and every condition 0 <= b holds.
+        assert stages[-1] == [] and all(b >= 0 for (b,) in conditions)
 
 
 def test_region_monotonicity_over_lattice():

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -16,12 +17,18 @@ from ldbfn import (
     allocate,
     build_scheme,
     constraint_system,
+    InfeasibleSystemError,
     integer_corners,
+    integer_points,
     achievable_region,
     applicable_regimes,
+    project_to_rates,
     rate_definitions,
+    regime_of,
 )
-from ldbfn.schemes import ALLOC_ORDER, Subtract
+from ldbfn import schemes
+from ldbfn.fm import lexmin_chain
+from ldbfn.schemes import ALLOC_ORDER, Subtract, projected_region
 
 SHOWCASE = ChannelParams(2, 3, 1, 1)
 NETGAIN = ChannelParams(6, 3, 1, 1)
@@ -222,3 +229,116 @@ class TestBuildScheme:
         assert payload["feedback_levels"] == 1
         names1 = {s["name"] for s in payload["layouts"]["x1"]["slots"]}
         assert {"f1_slot", "nb1_present", "nb1_future"} <= names1
+
+
+def reference_allocate(p, target):
+    """The depth-first search ``allocate`` ran before back-substitution, as a reference.
+
+    Lexicographically smallest integer allocation in ``ALLOC_ORDER`` reaching
+    ``target``, or None.
+    """
+    t1, t2 = target
+    regime = regime_of(p)
+    vars, rows, _ = schemes._SYSTEMS[regime]
+    bounds = schemes._bounds(regime, p)
+    r1_def, r2_def = rate_definitions(regime)
+    order = ALLOC_ORDER[regime]
+    n = len(order)
+    by_var = dict(zip(vars, zip(*rows)))
+    columns = [by_var[v] for v in order]
+    a1s = [r1_def.get(v, 0) for v in order]
+    a2s = [r2_def.get(v, 0) for v in order]
+    caps = [min([max(t1, t2)] + [b // c for c, b in zip(column, bounds) if c > 0]) for column in columns]
+    rest1, rest2 = [0] * n, [0] * n
+    for i in range(n - 1, 0, -1):
+        rest1[i - 1] = rest1[i] + a1s[i] * caps[i]
+        rest2[i - 1] = rest2[i] + a2s[i] * caps[i]
+    values = [0] * n
+
+    def walk(i, slacks, r1, r2):
+        if i == n:
+            return r1 == t1 and r2 == t2
+        for val in range(caps[i] + 1):
+            nr1, nr2 = r1 + a1s[i] * val, r2 + a2s[i] * val
+            if nr1 > t1 or nr2 > t2:
+                break
+            new = [s - val * c for s, c in zip(slacks, columns[i])]
+            if min(new) < 0:
+                break
+            if nr1 + rest1[i] < t1 or nr2 + rest2[i] < t2:
+                continue
+            values[i] = val
+            if walk(i + 1, new, nr1, nr2):
+                return True
+        return False
+
+    return dict(zip(order, values)) if walk(0, bounds, 0, 0) else None
+
+
+class TestRegimeTables:
+    def test_projection_matches_project_to_rates(self):
+        systems = 0
+        for tup in product(range(7), repeat=4):
+            p = ChannelParams(*tup)
+            for regime in applicable_regimes(p):
+                defs = rate_definitions(regime)
+                outcomes = []
+                for project in (lambda: projected_region(regime, p),
+                                lambda: project_to_rates(constraint_system(regime, p), *defs)):
+                    try:
+                        outcomes.append(project().halfspaces)
+                    except InfeasibleSystemError:
+                        outcomes.append("infeasible")
+                assert outcomes[0] == outcomes[1], (tup, regime)
+                systems += 1
+        assert systems == 2597
+
+    def test_matches_depth_first_search_on_every_region_point(self):
+        points = 0
+        for tup in product(range(6), repeat=4):
+            p = ChannelParams(*tup)
+            for point in integer_points(achievable_region(p)):
+                assert allocate(p, point).as_dict() == reference_allocate(p, point), (tup, point)
+                points += 1
+        assert points > 10000
+
+    @pytest.mark.parametrize("family", [
+        lambda k: (2 * k, k, 3 * k, 0),
+        lambda k: (k, 2 * k, 3 * k, 0),
+        lambda k: (6 * k, 3 * k, k, k),
+        lambda k: (2 * k, 3 * k, k, k),
+    ])
+    def test_matches_depth_first_search_on_scaled_families(self, family):
+        for k in range(1, 13):
+            p = ChannelParams(*family(k))
+            for corner in integer_corners(p):
+                assert allocate(p, corner).as_dict() == reference_allocate(p, corner), (k, corner)
+
+    def test_all_corners_of_a_large_tuple_within_budget(self):
+        # The depth-first search took about 5.8 s here.
+        p = ChannelParams(60, 90, 30, 30)
+        corners = integer_corners(p)
+        t0 = time.perf_counter()
+        allocs = [allocate(p, corner) for corner in corners]
+        assert time.perf_counter() - t0 < 0.1
+        assert [a.rate_pair() for a in allocs] == corners
+
+    def test_empty_interval_raises_scheme_error_naming_the_variable(self, monkeypatch):
+        # A stand-in chain for regime A: 2*R2d = 2*R1d + nc has no integer solution
+        # at odd nc, so R1d = 0 leaves R2d in [1/2, 1/2].
+        rows = [((-2, 2, 0, 0), (1, 0, 0, 0, 0, 0)), ((2, -2, 0, 0), (-1, 0, 0, 0, 0, 0))]
+        monkeypatch.setitem(schemes._CHAINS, Regime.A, lexmin_chain(ALLOC_ORDER[Regime.A], rows))
+        with pytest.raises(SchemeError, match="no integer value of R2d fits its interval"):
+            allocate(ChannelParams(1, 1, 1, 0), (0, 0))
+
+    def test_violated_halfspace_is_the_first_one_broken(self):
+        for tup in product(range(4), repeat=4):
+            p = ChannelParams(*tup)
+            region = achievable_region(p)
+            for t1, t2 in product(range(8), repeat=2):
+                if region.contains((t1, t2)):
+                    continue
+                with pytest.raises(InfeasibleTargetError) as err:
+                    allocate(p, (t1, t2))
+                pt = RatePoint(Fraction(t1), Fraction(t2))
+                assert err.value.violated == next(h for h in region.halfspaces if not h.holds(pt))
