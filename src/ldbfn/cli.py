@@ -95,9 +95,10 @@ def _feedback_usage(p: ChannelParams) -> int:
 
 def _net_gain_value(p: ChannelParams, r_f: int | None = None) -> Fraction:
     """Net gain at ``p``'s feedback strength per ``r_f`` levels (default ``_feedback_usage(p)``); 0 if none."""
-    if net_gain(p, p.nf, 1) == 0:
-        return Fraction(0)
-    return net_gain(p, p.nf, _feedback_usage(p) if r_f is None else r_f)
+    gain = net_gain(p, p.nf, 1)
+    if gain == 0:
+        return gain
+    return gain / (_feedback_usage(p) if r_f is None else r_f)
 
 
 def cmd_region(args) -> int:

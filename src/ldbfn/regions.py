@@ -1,14 +1,15 @@
 """Exact capacity-region algebra for the butterfly network with relay feedback.
 
 A :class:`RateRegion` is the set of non-negative rate pairs (R1, R2)
-satisfying a list of halfspaces ``a1*R1 + a2*R2 <= b``; the non-negativity
-constraints are implicit.  ``fractions.Fraction`` appears only at the API
-(the :class:`Halfspace` fields, :class:`RatePoint`, :meth:`RateRegion.contains`
-and the JSON shapes).  Inside, each halfspace is a primitive integer row
-``(a1, a2, b)`` and each vertex a projective integer triple ``(n1, n2, d)``
-standing for ``(n1/d, n2/d)`` with ``d > 0``, so every comparison is an
-exact integer cross-multiplication and equality of polytopes is decided,
-never approximated.
+satisfying a list of constraints ``a1*R1 + a2*R2 <= b``; the non-negativity
+constraints are implicit.  Its stored form is the tuple of primitive integer
+rows ``(a1, a2, b)``, from which it derives its vertices, projective integer
+triples ``(n1, n2, d)`` standing for ``(n1/d, n2/d)`` with ``d > 0``, and its
+recession rays once, when it is made.  So every comparison is an exact
+integer cross-multiplication and equality of polytopes is decided, never
+approximated.  ``fractions.Fraction`` appears only at the API: the
+:class:`Halfspace` fields (``RateRegion.halfspaces`` builds them when read),
+:class:`RatePoint`, :meth:`RateRegion.contains` and the JSON shapes.
 
 The closed forms implemented here:
 
@@ -76,17 +77,48 @@ def hs(a1: int | Fraction, a2: int | Fraction, b: int | Fraction) -> Halfspace:
     return Halfspace(Fraction(a1), Fraction(a2), Fraction(b))
 
 
-@dataclass(frozen=True)
 class RateRegion:
-    """Bounded 2-D polytope of achievable rate pairs in the first quadrant."""
+    """2-D polytope of rate pairs in the first quadrant, stored as primitive integer rows.
 
-    halfspaces: tuple[Halfspace, ...]
+    ``RateRegion(halfspaces)`` scales each halfspace to its primitive row, so
+    ``halfspaces`` reads back that scaling.  ``vertices`` are the vertex triples
+    in the order of :func:`corner_vertices` and ``rays`` the recession rays
+    (empty when bounded), both derived when the region is made.
+    """
+
+    __slots__ = ("rows", "vertices", "rays")
+
+    def __init__(self, halfspaces: Iterable[Halfspace]) -> None:
+        self._set(tuple(_int_row(h) for h in halfspaces))
+
+    def _set(self, rows: tuple[Row, ...], verts: set[Vertex] | None = None, rays=None) -> None:
+        self.rows = rows
+        self.vertices = _walk_order(_vertex_triples(rows) if verts is None else verts)
+        self.rays = tuple(_recession_rays(rows)) if rays is None else rays
+
+    @property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        return tuple(hs(*row) for row in self.rows)
 
     def contains(self, p: RatePoint | tuple) -> bool:
-        pt = RatePoint(Fraction(p[0]), Fraction(p[1]))
-        if pt.r1 < 0 or pt.r2 < 0:
-            return False
-        return all(h.holds(pt) for h in self.halfspaces)
+        r1, r2 = Fraction(p[0]), Fraction(p[1])
+        return r1 >= 0 and r2 >= 0 and all(a1 * r1 + a2 * r2 <= b for a1, a2, b in self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        return self.rows == other.rows if isinstance(other, RateRegion) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"RateRegion(rows={self.rows!r})"
+
+
+def _region(rows: tuple[Row, ...], verts: set[Vertex], rays=None) -> RateRegion:
+    """The region of primitive ``rows`` whose vertex set (and rays, if given) is known."""
+    region = RateRegion.__new__(RateRegion)
+    region._set(rows, verts, rays)
+    return region
 
 
 def _primitive(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -104,22 +136,12 @@ def _int_row(h: Halfspace) -> Row:
     return _primitive(*(x.numerator * (m // x.denominator) for x in (a1, a2, b)))
 
 
-def integer_rows(region: RateRegion) -> list[Row]:
-    """The region's halfspaces as primitive integer rows ``(a1, a2, b)``."""
-    return [_int_row(h) for h in region.halfspaces]
-
-
-def _region(rows) -> RateRegion:
-    """Integer rows back to the public Fraction form, sorted by (a1, a2, b)."""
-    return RateRegion(tuple(hs(*row) for row in sorted(rows)))
-
-
 def _axis_implied(row: Row) -> bool:
     """True when the quadrant alone implies the row (a1 <= 0, a2 <= 0, b >= 0)."""
     return row[0] <= 0 and row[1] <= 0 and row[2] >= 0
 
 
-def _vertex_triples(rows: list[Row]) -> set[Vertex]:
+def _vertex_triples(rows: Iterable[Row]) -> set[Vertex]:
     """Feasible pairwise intersections of the rows and the two axes.
 
     In 2-D these are exactly the vertices.  Integer arithmetic throughout:
@@ -127,7 +149,7 @@ def _vertex_triples(rows: list[Row]) -> set[Vertex]:
     is ever rounded.  The triples are gcd-reduced, so equal points give
     equal triples and the set depends on the point set alone.
     """
-    rows = rows + [(-1, 0, 0), (0, -1, 0)]
+    rows = [*rows, (-1, 0, 0), (0, -1, 0)]
     pts: set[Vertex] = set()
     n = len(rows)
     for i in range(n):
@@ -147,14 +169,14 @@ def _vertex_triples(rows: list[Row]) -> set[Vertex]:
     return pts
 
 
-def _recession_rays(rows: list[Row]) -> list[tuple[int, int]]:
+def _recession_rays(rows: Iterable[Row]) -> list[tuple[int, int]]:
     """Quadrant directions along which the region is unbounded; empty if bounded.
 
     In 2-D each extreme ray of the recession cone is an axis direction or lies
     along some constraint's boundary, so the candidates found in the cone
     include both extreme rays.
     """
-    rows = rows + [(-1, 0, 0), (0, -1, 0)]
+    rows = [*rows, (-1, 0, 0), (0, -1, 0)]
     candidates = {(1, 0), (0, 1)}
     for a1, a2, _ in rows:
         for d in ((a2, -a1), (-a2, a1)):
@@ -163,25 +185,12 @@ def _recession_rays(rows: list[Row]) -> list[tuple[int, int]]:
     return [d for d in candidates if all(a1 * d[0] + a2 * d[1] <= 0 for a1, a2, _ in rows)]
 
 
-def _bounded_vertices(rows: list[Row]) -> set[Vertex]:
-    """The vertex set of a bounded, non-empty region given by its rows."""
-    if _recession_rays(rows):
-        raise RegionError("corner enumeration needs a bounded region")
-    verts = _vertex_triples(rows)
-    if not verts:
+def _check_bounded(*regions: RateRegion) -> None:
+    """Raise unless the regions are bounded and non-empty; an empty one is reported first."""
+    if not all(r.vertices for r in regions):
         raise RegionError("region is empty")
-    return verts
-
-
-def _polygons(*regions: RateRegion) -> list[set[Vertex]]:
-    """Vertex sets of bounded regions; an empty one is reported before an unbounded one."""
-    rows = [integer_rows(r) for r in regions]
-    verts = [_vertex_triples(r) for r in rows]
-    if not all(verts):
-        raise RegionError("region is empty")
-    if any(_recession_rays(r) for r in rows):
+    if any(r.rays for r in regions):
         raise RegionError("corner enumeration needs a bounded region")
-    return verts
 
 
 def _implied(rows: list[Row], row: Row) -> bool:
@@ -190,6 +199,12 @@ def _implied(rows: list[Row], row: Row) -> bool:
     if any(a1 * d1 + a2 * d2 > 0 for d1, d2 in _recession_rays(rows)):
         return False
     return all(a1 * n1 + a2 * n2 <= b * d for n1, n2, d in _vertex_triples(rows))
+
+
+def _walk_order(verts) -> tuple[Vertex, ...]:
+    """Vertex triples from the origin, then by R1 increasing and R2 decreasing."""
+    m = lcm(*(d for _, _, d in verts))
+    return tuple(sorted(verts, key=lambda t: (t != (0, 0, 1), t[0] * (m // t[2]), -t[1] * (m // t[2]))))
 
 
 def _sorted_by_r1_r2(verts) -> list[Vertex]:
@@ -276,7 +291,7 @@ def canonicalize(region: RateRegion) -> RateRegion:
     Other unbounded regions are full-dimensional and keep the irredundant
     subset of the given halfspaces, their facets, which is unique as well.
     """
-    return canonical_region(integer_rows(region))
+    return canonical_region(region.rows)
 
 
 def canonical_region(rows: Iterable[Row]) -> RateRegion:
@@ -293,11 +308,11 @@ def canonical_region(rows: Iterable[Row]) -> RateRegion:
         raise RegionError("region is empty")
     rays = _recession_rays(rows)
     if not rays:
-        return _region(_facets_from_vertices(verts))
+        return _region(tuple(sorted(_facets_from_vertices(verts))), verts, ())
     d1, d2 = rays[0]
     if len(verts) == 1 and all(e1 * d2 == e2 * d1 for e1, e2 in rays):
         (p,) = verts
-        return _region(_collinear_facets(p, d1, d2, None))
+        return _region(tuple(sorted(_collinear_facets(p, d1, d2, None))), verts)
     # Unbounded: drop any row the remaining ones still imply.
     kept = rows
     changed = True
@@ -308,11 +323,11 @@ def canonical_region(rows: Iterable[Row]) -> RateRegion:
             if _implied(rest, row):
                 kept.remove(row)
                 changed = True
-    return _region(kept)
+    return _region(tuple(kept), verts)
 
 
 def is_bounded(region: RateRegion) -> bool:
-    return not _recession_rays(integer_rows(region))
+    return not region.rays
 
 
 def corner_vertices(region: RateRegion) -> list[Vertex]:
@@ -321,9 +336,8 @@ def corner_vertices(region: RateRegion) -> list[Vertex]:
     The walk starts at (0,0), climbs the R2 axis, crosses the frontier with
     R1 increasing and ends on the R1 axis.
     """
-    verts = _bounded_vertices(integer_rows(region))
-    m = lcm(*(d for _, _, d in verts))
-    return sorted(verts, key=lambda t: (t != (0, 0, 1), t[0] * (m // t[2]), -t[1] * (m // t[2])))
+    _check_bounded(region)
+    return list(region.vertices)
 
 
 def corner_points(region: RateRegion) -> list[RatePoint]:
@@ -335,36 +349,38 @@ def regions_equal(a: RateRegion, b: RateRegion) -> bool:
     """Point-set equality of bounded regions.
 
     Two bounded convex polygons are equal exactly when their vertex sets
-    are, and the gcd-reduced vertex triples depend on the point set alone.
+    are, and the gcd-reduced vertex triples in walk order depend on the
+    point set alone.
     """
-    verts_a, verts_b = _polygons(a, b)
-    return verts_a == verts_b
+    _check_bounded(a, b)
+    return a.vertices == b.vertices
 
 
 def region_contains(outer: RateRegion, inner: RateRegion) -> bool:
     """True when every point of ``inner`` lies in ``outer`` (both bounded)."""
-    (verts,) = _polygons(inner)
-    rows = integer_rows(outer)
-    return all(a1 * n1 + a2 * n2 <= b * d for n1, n2, d in verts for a1, a2, b in rows)
+    _check_bounded(inner)
+    return all(a1 * n1 + a2 * n2 <= b * d for n1, n2, d in inner.vertices for a1, a2, b in outer.rows)
 
 
 def integer_points(region: RateRegion) -> set[tuple[int, int]]:
     """All integer rate pairs inside the (bounded) region."""
-    rows = integer_rows(region)
-    verts = _bounded_vertices(rows)
-    m1 = max(n1 // d for n1, _, d in verts)
-    m2 = max(n2 // d for _, n2, d in verts)
+    _check_bounded(region)
+    m1 = max(n1 // d for n1, _, d in region.vertices)
+    m2 = max(n2 // d for _, n2, d in region.vertices)
     return {
         (r1, r2)
         for r1 in range(m1 + 1)
         for r2 in range(m2 + 1)
-        if all(a1 * r1 + a2 * r2 <= b for a1, a2, b in rows)
+        if all(a1 * r1 + a2 * r2 <= b for a1, a2, b in region.rows)
     }
 
 
 def sum_capacity(region: RateRegion) -> Fraction:
     """Max of R1 + R2 over the region."""
-    return max(Fraction(n1 + n2, d) for n1, n2, d in _bounded_vertices(integer_rows(region)))
+    _check_bounded(region)
+    m = lcm(*(d for _, _, d in region.vertices))
+    n1, n2, d = max(region.vertices, key=lambda t: (t[0] + t[1]) * (m // t[2]))
+    return Fraction(n1 + n2, d)
 
 
 class Regime(str, Enum):
@@ -406,14 +422,13 @@ def _pos(x: int) -> int:
 def outer_bound_region(p: ChannelParams) -> RateRegion:
     """Canonical capacity outer bound region for ``p``."""
     cap = min(p.ns, p.nr + p.nf, max(p.nc, p.nr))
-    raw = (
-        hs(1, 0, cap),
-        hs(0, 1, cap),
-        hs(1, 1, max(p.nr, p.nc) + p.nc),
-        hs(1, 1, max(p.nr, p.nc) + _pos(p.ns - p.nc)),
-        hs(1, 1, p.ns + p.nc),
-    )
-    return canonicalize(RateRegion(raw))
+    return canonical_region((
+        (1, 0, cap),
+        (0, 1, cap),
+        (1, 1, max(p.nr, p.nc) + p.nc),
+        (1, 1, max(p.nr, p.nc) + _pos(p.ns - p.nc)),
+        (1, 1, p.ns + p.nc),
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -421,24 +436,14 @@ def achievable_region(p: ChannelParams, regime: Regime | None = None) -> RateReg
     """Canonical achievable region of the regime's scheme (equals the outer bound)."""
     r = regime or regime_of(p)
     if r is Regime.A:
-        cap, total = p.ns, p.nr
-        raw = (hs(1, 0, cap), hs(0, 1, cap), hs(1, 1, total))
+        cap, totals = p.ns, (p.nr,)
     elif r is Regime.B:
-        cap = min(p.ns, p.nr)
-        raw = (
-            hs(1, 0, cap),
-            hs(0, 1, cap),
-            hs(1, 1, p.ns + p.nc),
-            hs(1, 1, p.nr + p.nc),
-            hs(1, 1, p.nr + p.ns - p.nc),
-        )
+        cap, totals = min(p.ns, p.nr), (p.ns + p.nc, p.nr + p.nc, p.nr + p.ns - p.nc)
     elif r is Regime.C:
-        cap, total = min(p.ns, p.nr + p.nf), p.nc
-        raw = (hs(1, 0, cap), hs(0, 1, cap), hs(1, 1, total))
+        cap, totals = min(p.ns, p.nr + p.nf), (p.nc,)
     else:
-        cap, total = min(p.nr + p.nf, p.nc), p.ns
-        raw = (hs(1, 0, cap), hs(0, 1, cap), hs(1, 1, total))
-    return canonicalize(RateRegion(raw))
+        cap, totals = min(p.nr + p.nf, p.nc), (p.ns,)
+    return canonical_region([(1, 0, cap), (0, 1, cap), *((1, 1, t) for t in totals)])
 
 
 def net_gain(p: ChannelParams, nf: int, r_f: Fraction | int) -> Fraction:

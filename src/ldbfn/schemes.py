@@ -51,7 +51,7 @@ from typing import Mapping
 
 from .fm import EmptyIntervalError, IneqSystem, LinearIneq, evaluate_projection, integer_lexmin, lexmin_chain, with_rates
 from .gf2 import ChannelParams, SignalLayout, Slot
-from .regions import RatePoint, RateRegion, Regime, applicable_regimes, achievable_region, integer_rows, regime_of
+from .regions import RatePoint, RateRegion, Regime, applicable_regimes, achievable_region, regime_of
 
 
 class SchemeError(RuntimeError):
@@ -223,7 +223,7 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
         raise InfeasibleTargetError(f"target {target} is not an integer point")
     t1, t2 = int(t1), int(t2)
     region = achievable_region(p)
-    if t1 < 0 or t2 < 0 or any(a1 * t1 + a2 * t2 > b for a1, a2, b in integer_rows(region)):
+    if t1 < 0 or t2 < 0 or any(a1 * t1 + a2 * t2 > b for a1, a2, b in region.rows):
         pt = RatePoint(Fraction(t1), Fraction(t2))
         violated = next((h for h in region.halfspaces if not h.holds(pt)), None)
         detail = (

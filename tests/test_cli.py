@@ -133,6 +133,13 @@ class TestSweep:
         assert code == 0
         assert all(row["fm_oracle_equal"] == "True" for row in rows)
 
+    def test_worker_processes_give_the_serial_result(self, monkeypatch):
+        monkeypatch.delenv("LDBFN_THREADS", raising=False)
+        serial = list(cli.sweep_rows(2, with_oracle=True))
+        monkeypatch.setenv("LDBFN_THREADS", "2")
+        assert list(cli.sweep_rows(2, with_oracle=True)) == serial
+        assert len(serial) == 81 and all(row["fm_oracle_equal"] for row in serial)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "sweep", "--max", "0", "--out", str(target))

@@ -1,12 +1,16 @@
+import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ldbfn import (
     ChannelParams,
     RateRegion,
     Regime,
+    applicable_regimes,
     canonicalize,
     corner_points,
     achievable_region,
@@ -18,7 +22,8 @@ from ldbfn import (
     regions_equal,
     sum_capacity,
 )
-from ldbfn.regions import RegionError, hs
+from ldbfn.regions import RegionError, _recession_rays, _vertex_triples, canonical_region, hs
+from ldbfn.schemes import projected_region
 
 
 def halfspace_set(region):
@@ -300,3 +305,97 @@ class TestJson:
         region = canonicalize(RateRegion((hs(2, 0, 1), hs(0, 2, 1))))
         payload = region_to_jsonable(region)
         assert ["1/2", "1/2"] in payload["corners"]
+
+
+LATTICE_6 = [ChannelParams(*levels) for levels in product(range(7), repeat=4)]
+
+
+def paper_outer_bound(p):
+    """The outer bound of the module docstring as raw Fraction halfspaces."""
+    cap = min(p.ns, p.nr + p.nf, max(p.nc, p.nr))
+    return (
+        hs(1, 0, cap),
+        hs(0, 1, cap),
+        hs(1, 1, max(p.nr, p.nc) + p.nc),
+        hs(1, 1, max(p.nr, p.nc) + max(0, p.ns - p.nc)),
+        hs(1, 1, p.ns + p.nc),
+    )
+
+
+def paper_achievable(p, regime):
+    """The regime's achievable region of the module docstring as raw Fraction halfspaces."""
+    if regime is Regime.A:
+        cap, totals = p.ns, (p.nr,)
+    elif regime is Regime.B:
+        cap, totals = min(p.ns, p.nr), (p.ns + p.nc, p.nr + p.nc, p.nr + p.ns - p.nc)
+    elif regime is Regime.C:
+        cap, totals = min(p.ns, p.nr + p.nf), (p.nc,)
+    else:
+        cap, totals = min(p.nr + p.nf, p.nc), (p.ns,)
+    return (hs(1, 0, cap), hs(0, 1, cap), *(hs(1, 1, t) for t in totals))
+
+
+def assert_derived_from_rows(region):
+    """The stored vertices and rays are what the stored rows give."""
+    assert set(region.vertices) == _vertex_triples(region.rows), region
+    assert len(region.vertices) == len(set(region.vertices)), region
+    assert set(region.rays) == set(_recession_rays(region.rows)), region
+
+
+rows_strategy = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-8, 12)).filter(lambda r: r[0] or r[1]),
+    max_size=6,
+)
+
+
+class TestStoredForm:
+    """A region stores primitive integer rows and the vertices and rays derived from them."""
+
+    def test_canonical_regions_of_the_lattice(self):
+        for p in LATTICE_6:
+            regimes = applicable_regimes(p)
+            regions = [outer_bound_region(p)]
+            regions += [achievable_region(p, r) for r in regimes]
+            regions += [projected_region(r, p) for r in regimes]
+            for region in regions:
+                assert_derived_from_rows(region)
+                assert not region.rays
+
+    @given(rows_strategy)
+    @example([(1, -1, 1), (-1, 1, -1)])  # the half-line R2 = R1 - 1 from (1, 0)
+    @example([(-1, 1, 2), (1, -1, 3), (-1, -1, -1)])  # a strip, unbounded along (1, 1)
+    def test_any_row_set(self, rows):
+        region = RateRegion(tuple(hs(*row) for row in rows))
+        assert_derived_from_rows(region)
+        if not region.vertices:
+            with pytest.raises(RegionError, match="empty"):
+                canonical_region(rows)
+            return
+        canon = canonical_region(rows)
+        assert_derived_from_rows(canon)
+        assert canon.vertices == region.vertices
+        assert bool(canon.rays) == bool(region.rays)
+        assert canonicalize(region) == canon
+
+    def test_int_built_regions_equal_the_paper_halfspaces(self):
+        for p in LATTICE_6:
+            assert outer_bound_region(p) == canonicalize(RateRegion(paper_outer_bound(p))), p
+            for r in applicable_regimes(p):
+                assert achievable_region(p, r) == canonicalize(RateRegion(paper_achievable(p, r))), (p, r)
+
+    def test_pickle_equality_and_hash(self):
+        p = ChannelParams(2, 3, 1, 1)
+        region = outer_bound_region(p)
+        rebuilt = canonicalize(RateRegion(paper_outer_bound(p)))
+        assert rebuilt is not region
+        assert rebuilt == region and hash(rebuilt) == hash(region)
+        back = pickle.loads(pickle.dumps(region))
+        assert back == region and hash(back) == hash(region)
+        assert (back.rows, back.vertices, back.rays) == (region.rows, region.vertices, region.rays)
+        assert back.halfspaces == region.halfspaces == (hs(0, 1, 2), hs(1, 0, 2), hs(1, 1, 3))
+
+    def test_non_primitive_halfspaces_read_back_as_primitive_rows(self):
+        region = RateRegion((hs(2, 2, 4), hs(Fraction(1, 2), 0, 1)))
+        assert region.rows == ((1, 1, 2), (1, 0, 2))
+        assert region.halfspaces == (hs(1, 1, 2), hs(1, 0, 2))
+        assert region == RateRegion((hs(1, 1, 2), hs(1, 0, 2)))
