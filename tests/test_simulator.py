@@ -132,6 +132,17 @@ class TestTrace:
         assert validate_trace(text)
         assert all(ok for *_, ok in events)
 
+    def test_events_match_the_dump_in_order(self):
+        scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
+        drop = Subtract("f2", offset=-2, pos=0, length=1)
+        plans = {**scheme.decode_plans, 0: tuple(s for s in scheme.decode_plans[0] if s != drop)}
+        for s in (scheme, dataclasses.replace(scheme, decode_plans=plans)):
+            trace, _ = run(s, n_blocks=8, seed=3)
+            _, _, events = parse_trace(trace.dump())
+            assert trace.events == tuple(events) and len(events) > 0
+            assert all(type(e) is simulator.DecodeEvent for e in trace.events)
+        assert not all(e.ok for e in trace.events)
+
     def test_bits_render_top_level_first(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (2, 1))
         trace, _ = run(scheme, n_blocks=8, seed=4)
@@ -151,6 +162,30 @@ class TestPrng:
         rng = XorShift64Star(1)
         assert rng.word(1) == out >> 63
         assert rng.state == x
+
+    @staticmethod
+    def reference_word(state, n):
+        """The module docstring's recurrence, one draw per step: (word, new state)."""
+        mask = (1 << 64) - 1
+        w = 0
+        for _ in range(n):
+            state ^= state >> 12
+            state = (state ^ (state << 25)) & mask
+            state ^= state >> 27
+            w = w << 1 | ((state * 2685821657736338717) & mask) >> 63
+        return w, state
+
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_word_matches_the_recurrence(self, n):
+        rng = XorShift64Star(12345)
+        assert (rng.word(n), rng.state) == self.reference_word(12345, n)
+
+    def test_consecutive_words_continue_the_stream(self):
+        rng = XorShift64Star(1)
+        state = 1
+        for n in (3, 0, 1, 5, 64, 2):
+            want, state = self.reference_word(state, n)
+            assert rng.word(n) == want and rng.state == state
 
     def test_zero_seed_replaced(self):
         assert XorShift64Star(0).state != 0
