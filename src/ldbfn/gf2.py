@@ -19,7 +19,7 @@ strength ``nf``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 class LayoutError(ValueError):
@@ -102,8 +102,9 @@ class ChannelParams:
     nr: relay -> destination (in-band)
     nf: relay -> both sources (out-of-band feedback broadcast)
 
-    The common vector length is q = max(nc, ns, nr, nf, 1); the floor of 1
-    keeps the all-zero network representable with non-empty vectors.
+    The common vector length q = max(nc, ns, nr, nf, 1) is set once, when the
+    instance is made; the floor of 1 keeps the all-zero network representable
+    with non-empty vectors.
     """
 
     nc: int
@@ -116,10 +117,7 @@ class ChannelParams:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-
-    @property
-    def q(self) -> int:
-        return max(self.nc, self.ns, self.nr, self.nf, 1)
+        object.__setattr__(self, "q", max(self.nc, self.ns, self.nr, self.nf, 1))
 
     def with_nf(self, nf: int) -> "ChannelParams":
         return ChannelParams(self.nc, self.ns, self.nr, nf)
@@ -186,8 +184,7 @@ def channel_step(inputs: NetworkInputs, params: ChannelParams) -> NetworkOutputs
     return NetworkOutputs(y0=y0, y1=yf, y2=yf, y3=y3, y4=y4)
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """A named contiguous block of levels inside a length-q vector."""
 
     name: str
@@ -214,10 +211,10 @@ class SignalLayout:
     overlaps: frozenset[frozenset[str]] = frozenset()
 
     def __post_init__(self) -> None:
-        names = [s.name for s in self.slots]
-        if len(names) != len(set(names)):
-            raise LayoutError(f"duplicate slot names in layout: {names}")
-        object.__setattr__(self, "_by_name", {s.name: s for s in self.slots})
+        by_name = {s.name: s for s in self.slots}
+        if len(by_name) != len(self.slots):
+            raise LayoutError(f"duplicate slot names in layout: {[s.name for s in self.slots]}")
+        object.__setattr__(self, "_by_name", by_name)
         for s in self.slots:
             if s.length < 0 or s.start < 0 or s.stop > self.q:
                 raise LayoutError(f"slot {s.name} [{s.start},{s.stop}) outside [0,{self.q})")

@@ -47,7 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from operator import mul
+from typing import Mapping, NamedTuple
 
 from .fm import EmptyIntervalError, IneqSystem, LinearIneq, evaluate_projection, integer_lexmin, lexmin_chain, with_rates
 from .gf2 import ChannelParams, SignalLayout, Slot
@@ -172,6 +173,19 @@ def rate_definitions(regime: Regime) -> tuple[dict[str, int], dict[str, int]]:
     )
 
 
+def _sorted_table(regime: Regime) -> tuple:
+    """The regime's variables sorted by name, as ``RateAllocation.values`` is, with its rows and the
+    (R1, R2) coefficient vectors aligned with them."""
+    vars, rows, _ = _SYSTEMS[regime]
+    names = tuple(sorted(vars))
+    cols = [vars.index(v) for v in names]
+    rates = tuple(tuple(r.get(v, 0) for v in names) for r in rate_definitions(regime))
+    return names, tuple(tuple(row[i] for i in cols) for row in rows), rates
+
+
+_SORTED = {r: _sorted_table(r) for r in Regime}
+
+
 def _alloc_rows(regime: Regime) -> list:
     """The regime's rows in ``ALLOC_ORDER`` with bounds over (nc, ns, nr, nf, t1, t2), R1 = t1, R2 = t2."""
     vars, rows, forms = _SYSTEMS[regime]
@@ -203,13 +217,18 @@ class RateAllocation:
     def as_dict(self) -> dict[str, int]:
         return dict(self.values)
 
+    def _vector(self) -> tuple[int, ...]:
+        """The values aligned with the regime's variables sorted by name; one not given reads 0."""
+        names, xs = zip(*self.values) if self.values else ((), ())
+        if names != _SORTED[self.regime][0]:
+            d = self.as_dict()
+            xs = tuple(d.get(v, 0) for v in _SORTED[self.regime][0])
+        return xs
+
     def rate_pair(self) -> tuple[int, int]:
-        r1d, r2d = rate_definitions(self.regime)
-        d = self.as_dict()
-        return (
-            sum(c * d.get(v, 0) for v, c in r1d.items()),
-            sum(c * d.get(v, 0) for v, c in r2d.items()),
-        )
+        xs = self._vector()
+        r1, r2 = _SORTED[self.regime][2]
+        return sum(map(mul, r1, xs)), sum(map(mul, r2, xs))
 
 
 def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
@@ -248,8 +267,7 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
 # Scheme data model
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """Transmit slot content: block ``t + offset`` of ``stream`` at use t.
 
     ``take`` selects a sub-range of the stream block, starting at that bit,
@@ -268,8 +286,7 @@ class TransmitPlan:
     bindings: tuple[Binding, ...]
 
 
-@dataclass(frozen=True)
-class Subtract:
+class Subtract(NamedTuple):
     """XOR the known block's first ``length`` bits out of the received vector."""
 
     stream: str
@@ -280,8 +297,7 @@ class Subtract:
     kind = "subtract"
 
 
-@dataclass(frozen=True)
-class Read:
+class Read(NamedTuple):
     """Copy received levels [pos, pos+length) into the block's bits [at, ...)."""
 
     stream: str
@@ -293,8 +309,7 @@ class Read:
     kind = "read"
 
 
-@dataclass(frozen=True)
-class Combine:
+class Combine(NamedTuple):
     """Store target = a XOR b (top-aligned, truncated to target length)."""
 
     target: str
@@ -799,9 +814,8 @@ _BUILDERS = {
 def build_scheme(p: ChannelParams, alloc: RateAllocation) -> Scheme:
     """Materialize the full per-use signal plan for a feasible allocation."""
     _require_regime(alloc.regime, p)
-    vars, rows, _ = _SYSTEMS[alloc.regime]
-    d = alloc.as_dict()
-    for k, (row, b) in enumerate(zip(rows, _bounds(alloc.regime, p))):
-        if sum(c * d.get(v, 0) for v, c in zip(vars, row)) > b:
-            raise SchemeError(f"allocation {d} violates {constraint_system(alloc.regime, p).ineqs[k]}")
+    xs = alloc._vector()
+    for k, (row, b) in enumerate(zip(_SORTED[alloc.regime][1], _bounds(alloc.regime, p))):
+        if sum(map(mul, row, xs)) > b:
+            raise SchemeError(f"allocation {alloc.as_dict()} violates {constraint_system(alloc.regime, p).ineqs[k]}")
     return _BUILDERS[alloc.regime](p, alloc)

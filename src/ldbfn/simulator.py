@@ -53,19 +53,15 @@ class XorShift64Star:
     def __init__(self, seed: int):
         self.state = seed & _MASK64 or _SEED_FALLBACK
 
-    def _next_word(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self.state = x
-        return (x * 2685821657736338717) & _MASK64
-
     def word(self, n: int) -> int:
         """``n`` draws as an n-bit word, the first draw most significant."""
-        w = 0
+        x, w = self.state, 0
         for _ in range(n):
-            w = w << 1 | self._next_word() >> 63
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK64
+            x ^= x >> 27
+            w = w << 1 | (x * 2685821657736338717 & _MASK64) >> 63
+        self.state = x
         return w
 
 
@@ -124,7 +120,10 @@ class Trace:
 
     ``words[t - 1]`` holds use t's q-bit words ``(x1, x2, xr, xf, y0, y1, y3,
     y4)``, level 1 the most significant bit; y2 equals y1 and is not stored.
-    ``steps`` rebuilds the same uses as vectors on access.
+    ``decodes`` holds every decode as a plain ``(use, node, stream, block,
+    ok)`` tuple, in the order the nodes decoded.  ``steps`` and ``events``
+    rebuild the uses as vectors and the decodes as :class:`DecodeEvent` on
+    access.
     """
 
     params: ChannelParams
@@ -132,7 +131,11 @@ class Trace:
     seed: int
     delta: int
     words: tuple[tuple[int, ...], ...]
-    events: tuple[DecodeEvent, ...]
+    decodes: tuple[tuple, ...]
+
+    @property
+    def events(self) -> tuple[DecodeEvent, ...]:
+        return tuple(map(DecodeEvent._make, self.decodes))
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -153,9 +156,8 @@ class Trace:
         ]
         for t, ws in enumerate(self.words, 1):
             lines.append(_DUMP_USE.format(t, *(format(w, fmt) for w in ws)))
-        for e in self.events:
-            verdict = "ok" if e.ok else "FAIL"
-            lines.append(f"use={e.use} node={e.node} decode {e.stream}[{e.block}] {verdict}")
+        for use, node, stream, block, ok in self.decodes:
+            lines.append(f"use={use} node={node} decode {stream}[{block}] {'ok' if ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
 
@@ -316,7 +318,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
     plans = [_compile_decode(scheme, node, stores[node], zeros, q) for node in range(5)]
 
     errors: list[DecodeError] = []
-    events: list[DecodeEvent] = []
+    decodes: list[tuple] = []
 
     def known(blocks: list, stream: str, idx: int, node: int, t: int) -> int:
         value = blocks[idx]
@@ -349,7 +351,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
                 blocks[idx] = mixed >> cut
         for (stream, idx), blocks in decoded.items():
             ok = blocks[idx] == truth[stream][idx]
-            events.append(DecodeEvent(t, node, stream, idx, ok))
+            decodes.append((t, node, stream, idx, ok))
             if not ok:
                 errors.append(DecodeError(t, node, stream, idx))
 
@@ -399,7 +401,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
         seed=seed,
         delta=scheme.delta,
         words=tuple(words),
-        events=tuple(events),
+        decodes=tuple(decodes),
     )
     report = RunReport(
         params=params,
