@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from ldbfn.cli import cmd_sweep
+from ldbfn.cli import _int_at_least, cmd_sweep
 from ldbfn.simulator import verify_corner_sweep
 
 
@@ -23,12 +23,15 @@ def main() -> int:
                         help="also run the elimination-vs-enumeration cross-check")
     parser.add_argument("--simulate", action="store_true",
                         help="also run every integer corner through the simulator")
-    parser.add_argument("--blocks", type=int, default=8)
+    parser.add_argument("--blocks", type=_int_at_least(3), default=8,
+                        help="message blocks per simulated corner, at least 3")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
     t0 = time.perf_counter()
     rc = cmd_sweep(argparse.Namespace(max=args.max, out=args.out, oracle=args.oracle))
+    if rc == 2:  # the CSV could not be opened; cmd_sweep has said why
+        return rc
     print(f"sweep CSV -> {args.out} (rc={rc}) in {time.perf_counter() - t0:.1f}s")
 
     if args.simulate:
