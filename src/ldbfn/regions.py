@@ -91,9 +91,9 @@ class RateRegion:
     def __init__(self, halfspaces: Iterable[Halfspace]) -> None:
         self._set(tuple(_int_row(h) for h in halfspaces))
 
-    def _set(self, rows: tuple[Row, ...], verts: set[Vertex] | None = None, rays=None) -> None:
+    def _set(self, rows: tuple[Row, ...], vertices: tuple[Vertex, ...] | None = None, rays=None) -> None:
         self.rows = rows
-        self.vertices = _walk_order(_vertex_triples(rows) if verts is None else verts)
+        self.vertices = _walk_order(_scaled(_vertex_triples(rows))) if vertices is None else vertices
         self.rays = tuple(_recession_rays(rows)) if rays is None else rays
 
     @property
@@ -114,10 +114,10 @@ class RateRegion:
         return f"RateRegion(rows={self.rows!r})"
 
 
-def _region(rows: tuple[Row, ...], verts: set[Vertex], rays=None) -> RateRegion:
-    """The region of primitive ``rows`` whose vertex set (and rays, if given) is known."""
+def _region(rows: tuple[Row, ...], vertices: tuple[Vertex, ...], rays=None) -> RateRegion:
+    """The region of primitive ``rows`` whose vertices in walk order (and rays, if given) are known."""
     region = RateRegion.__new__(RateRegion)
-    region._set(rows, verts, rays)
+    region._set(rows, vertices, rays)
     return region
 
 
@@ -201,16 +201,15 @@ def _implied(rows: list[Row], row: Row) -> bool:
     return all(a1 * n1 + a2 * n2 <= b * d for n1, n2, d in _vertex_triples(rows))
 
 
-def _walk_order(verts) -> tuple[Vertex, ...]:
-    """Vertex triples from the origin, then by R1 increasing and R2 decreasing."""
+def _scaled(verts) -> list[tuple[int, int, Vertex]]:
+    """Each vertex triple as ``(r1, r2, triple)``, r1 and r2 over a common denominator, sorted by (r1, r2)."""
     m = lcm(*(d for _, _, d in verts))
-    return tuple(sorted(verts, key=lambda t: (t != (0, 0, 1), t[0] * (m // t[2]), -t[1] * (m // t[2]))))
+    return sorted((n1 * (m // d), n2 * (m // d), (n1, n2, d)) for n1, n2, d in verts)
 
 
-def _sorted_by_r1_r2(verts) -> list[Vertex]:
-    """Vertex triples sorted by (r1, r2), compared over a common denominator."""
-    m = lcm(*(d for _, _, d in verts))
-    return sorted(verts, key=lambda t: (t[0] * (m // t[2]), t[1] * (m // t[2])))
+def _walk_order(scaled: list[tuple[int, int, Vertex]]) -> tuple[Vertex, ...]:
+    """The triples of :func:`_scaled` from the origin, then by R1 increasing and R2 decreasing."""
+    return tuple(t for _, _, t in sorted(scaled, key=lambda s: (s[2] != (0, 0, 1), s[0], -s[1])))
 
 
 def _cross_sign(o, a, b) -> int:
@@ -264,8 +263,8 @@ def _collinear_facets(p: Vertex, d1: int, d2: int, q: Vertex | None) -> set[Row]
     return {_primitive(*r) for r in out if not _axis_implied(r)}
 
 
-def _facets_from_vertices(verts: set[Vertex]) -> set[Row]:
-    """Minimal row description of the convex hull of vertex triples.
+def _facets_from_vertices(verts: list[Vertex]) -> set[Row]:
+    """Minimal row description of the convex hull of vertex triples sorted by (r1, r2).
 
     Fully representation independent: two regions with the same point set
     canonicalize to the identical halfspace tuple.
@@ -277,7 +276,7 @@ def _facets_from_vertices(verts: set[Vertex]) -> set[Row]:
     if len(verts) == 2:
         p, q = verts
         return _collinear_facets(p, *_direction(p, q), q)
-    ccw = _hull_ccw(_sorted_by_r1_r2(verts))
+    ccw = _hull_ccw(verts)
     edges = (_line_row(p, *_direction(p, q)) for p, q in zip(ccw, ccw[1:] + ccw[:1]))
     return {_primitive(*r) for r in edges if not _axis_implied(r)}
 
@@ -303,12 +302,13 @@ def canonical_region(rows: Iterable[Row]) -> RateRegion:
             continue
         tightest[a1, a2] = min(b, tightest.get((a1, a2), b))
     rows = sorted((a1, a2, b) for (a1, a2), b in tightest.items())
-    verts = _vertex_triples(rows)
-    if not verts:
+    scaled = _scaled(_vertex_triples(rows))
+    if not scaled:
         raise RegionError("region is empty")
+    verts = _walk_order(scaled)
     rays = _recession_rays(rows)
     if not rays:
-        return _region(tuple(sorted(_facets_from_vertices(verts))), verts, ())
+        return _region(tuple(sorted(_facets_from_vertices([t for _, _, t in scaled]))), verts, ())
     d1, d2 = rays[0]
     if len(verts) == 1 and all(e1 * d2 == e2 * d1 for e1, e2 in rays):
         (p,) = verts
