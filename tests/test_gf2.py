@@ -128,12 +128,16 @@ class TestLayout:
         segs = {"a": (1, 0), "b": (0, 1)}
         assert unpack(layout, pack(layout, segs)) == segs
 
+    def test_undeclared_overlap_rejected(self):
+        with pytest.raises(LayoutError) as exc:
+            SignalLayout(4, (Slot("a", 0, 2), Slot("b", 1, 2)))
+        assert str(exc.value) == "slots a and b intersect without a declared XOR overlap"
+
     @pytest.mark.parametrize("q, slots, message", [
         (3, (Slot("a", 0, 1), Slot("a", 1, 1)), "duplicate slot names in layout: ['a', 'a']"),
         (3, (Slot("a", 2, 2),), "slot a [2,4) outside [0,3)"),
         (3, (Slot("a", -1, 1),), "slot a [-1,0) outside [0,3)"),
         (3, (Slot("a", 0, -1),), "slot a [0,-1) outside [0,3)"),
-        (4, (Slot("a", 0, 2), Slot("b", 1, 2)), "slots a and b intersect without a declared XOR overlap"),
         (4, (Slot("a", 0, 3), Slot("z", 1, 0)), "slots a and z intersect without a declared XOR overlap"),
     ])
     def test_inconsistent_layout_rejected(self, q, slots, message):
