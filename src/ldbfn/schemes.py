@@ -174,8 +174,10 @@ def rate_definitions(regime: Regime) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def _sorted_table(regime: Regime) -> tuple:
-    """The regime's variables sorted by name, as ``RateAllocation.values`` is, with its rows and the
-    (R1, R2) coefficient vectors aligned with them."""
+    """The regime's variables sorted by name, with its rows and (R1, R2) coefficients aligned with them.
+
+    Sorted by name is the order of ``RateAllocation.values``.
+    """
     vars, rows, _ = _SYSTEMS[regime]
     names = tuple(sorted(vars))
     cols = [vars.index(v) for v in names]
