@@ -80,9 +80,20 @@ class TestRateDefinitions:
         assert r1 == {"Rc1": 1, "Rc2": 1, "R1d": 1}
         assert r2 == {"Rc1": 1, "Rc2": 1, "R2d": 1}
 
+    def test_regime_b(self):
+        r1, r2 = rate_definitions(Regime.B)
+        assert r1 == {"R1d": 1, "Rbar1d": 1, "Rc": 1, "Rn": 1}
+        assert r2 == {"R2d": 1, "Rbar2d": 1, "Rc": 1, "Rn": 1}
+
+    def test_regime_c(self):
+        r1, r2 = rate_definitions(Regime.C)
+        assert r1 == {"Rc": 1, "R1d": 1, "R1f": 1, "Rbarf": 1}
+        assert r2 == {"Rc": 1, "R2d": 1, "R2f": 1, "Rbarf": 1}
+
     def test_regime_d_six_terms(self):
-        r1, _ = rate_definitions(Regime.D)
+        r1, r2 = rate_definitions(Regime.D)
         assert r1 == {"R1f": 1, "Rbarf1": 1, "Rbarf2": 1, "R1d": 1, "Rn1": 1, "Rn2": 1}
+        assert r2 == {"R2f": 1, "Rbarf1": 1, "Rbarf2": 1, "R2d": 1, "Rn1": 1, "Rn2": 1}
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_definitions_swap_under_user_exchange(self, regime):
@@ -214,9 +225,11 @@ class TestBuildScheme:
             assert all(-b.offset <= 2 for plan in scheme.transmit.values() for b in plan.bindings)
 
     def test_rates_match_allocation(self):
-        p = SHOWCASE
-        scheme = build_scheme(p, allocate(p, (2, 1)))
-        assert scheme.rates == (2, 1)
+        for tup in product(range(5), repeat=4):
+            p = ChannelParams(*tup)
+            for corner in integer_corners(p):
+                alloc = allocate(p, corner)
+                assert build_scheme(p, alloc).rates == alloc.rate_pair() == corner, (tup, corner)
 
     def test_json_dump_is_stable_and_complete(self):
         scheme = build_scheme(SHOWCASE, allocate(SHOWCASE, (2, 1)))
@@ -341,4 +354,9 @@ class TestRegimeTables:
                 with pytest.raises(InfeasibleTargetError) as err:
                     allocate(p, (t1, t2))
                 pt = RatePoint(Fraction(t1), Fraction(t2))
-                assert err.value.violated == next(h for h in region.halfspaces if not h.holds(pt))
+                h = next(h for h in region.halfspaces if not h.holds(pt))
+                assert err.value.violated == h
+                assert str(err.value) == (
+                    f"target ({t1}, {t2}) is outside the achievable region for {p}"
+                    f" (violates {h.a1}*R1 + {h.a2}*R2 <= {h.b})"
+                )
