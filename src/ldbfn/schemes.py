@@ -90,19 +90,24 @@ def _require_regime(regime: Regime, p: ChannelParams) -> None:
 _NC, _NS, _NR, _NF = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 _NS_NC, _NR_NC = (-1, 1, 0, 0), (-1, 0, 1, 0)
 
-# Each regime's component-rate inequalities ``row . vars <= bound``: the
-# variables, the integer coefficient rows aligned with them, and the rows'
-# bounds, which are non-negative wherever the regime applies.
+# Each regime's scheme as one table: the variables, the integer coefficient
+# rows of its component-rate inequalities ``row . vars <= bound`` aligned with
+# them, the rows' bounds, which are non-negative wherever the regime applies,
+# and the rows of R1 = r1 . vars and R2 = r2 . vars.  Every per-regime view
+# (constraint system, rate definitions, allocation chain, the vector the
+# builders unpack) derives from it, in this variable order.
 _SYSTEMS = {
     Regime.A: (
         ("Rc1", "Rc2", "R1d", "R2d"),
         ((1, 1, 1, 1), (1, 2, 1, 1), (1, 0, 0, 0)),
         (_NS, _NC, _NR_NC),
+        ((1, 1, 1, 0), (1, 1, 0, 1)),
     ),
     Regime.B: (
         ("Rc", "R1d", "R2d", "Rbar1d", "Rbar2d", "Rn"),
         ((1, 1, 1, 0, 0, 1), (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 1), (2, 1, 1, 1, 1, 1)),
         (_NC, _NS_NC, _NS_NC, _NR),
+        ((1, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 1)),
     ),
     # The destination row (bound nc) charges each D-rate once, not twice: the
     # D-slot may share levels with the two-use-old symmetric-F delivery and
@@ -120,6 +125,7 @@ _SYSTEMS = {
             (2, 1, 1, 1, 1, 2),
         ),
         (_NS, _NR, _NF, _NF, _NC),
+        ((1, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 1)),
     ),
     Regime.D: (
         ("R1f", "R2f", "Rbarf1", "Rbarf2", "R1d", "R2d", "Rn1", "Rn2"),
@@ -131,6 +137,7 @@ _SYSTEMS = {
             (0, 1, 1, 1, 0, 0, 0, 0),
         ),
         (_NC, _NS_NC, _NR, _NF, _NF),
+        ((1, 0, 1, 1, 1, 0, 1, 1), (0, 1, 1, 1, 0, 1, 1, 1)),
     ),
 }
 
@@ -144,7 +151,7 @@ def _bounds(regime: Regime, p: ChannelParams) -> list[int]:
 def constraint_system(regime: Regime, p: ChannelParams) -> IneqSystem:
     """The regime's component-rate inequality system with parameters filled in."""
     _require_regime(regime, p)
-    vars, rows, _ = _SYSTEMS[regime]
+    vars, rows = _SYSTEMS[regime][:2]
     return IneqSystem(vars, tuple(
         LinearIneq.of(dict(zip(vars, row)), b) for row, b in zip(rows, _bounds(regime, p))
     ))
@@ -152,45 +159,19 @@ def constraint_system(regime: Regime, p: ChannelParams) -> IneqSystem:
 
 def rate_definitions(regime: Regime) -> tuple[dict[str, int], dict[str, int]]:
     """Linear maps from component rates to (R1, R2)."""
-    if regime is Regime.A:
-        return (
-            {"Rc1": 1, "Rc2": 1, "R1d": 1},
-            {"Rc1": 1, "Rc2": 1, "R2d": 1},
-        )
-    if regime is Regime.B:
-        return (
-            {"R1d": 1, "Rbar1d": 1, "Rc": 1, "Rn": 1},
-            {"R2d": 1, "Rbar2d": 1, "Rc": 1, "Rn": 1},
-        )
-    if regime is Regime.C:
-        return (
-            {"Rc": 1, "R1d": 1, "R1f": 1, "Rbarf": 1},
-            {"Rc": 1, "R2d": 1, "R2f": 1, "Rbarf": 1},
-        )
-    return (
-        {"R1f": 1, "Rbarf1": 1, "Rbarf2": 1, "R1d": 1, "Rn1": 1, "Rn2": 1},
-        {"R2f": 1, "Rbarf1": 1, "Rbarf2": 1, "R2d": 1, "Rn1": 1, "Rn2": 1},
-    )
+    vars, _, _, rates = _SYSTEMS[regime]
+    return tuple({v: c for v, c in zip(vars, r) if c} for r in rates)
 
 
-def _sorted_table(regime: Regime) -> tuple:
-    """The regime's variables sorted by name, with its rows and (R1, R2) coefficients aligned with them.
-
-    Sorted by name is the order of ``RateAllocation.values``.
-    """
-    vars, rows, _ = _SYSTEMS[regime]
-    names = tuple(sorted(vars))
-    cols = [vars.index(v) for v in names]
-    rates = tuple(tuple(r.get(v, 0) for v in names) for r in rate_definitions(regime))
-    return names, tuple(tuple(row[i] for i in cols) for row in rows), rates
-
-
-_SORTED = {r: _sorted_table(r) for r in Regime}
+def _rate_pair(regime: Regime, xs: tuple[int, ...]) -> tuple[int, int]:
+    """(R1, R2) of the component rates ``xs``, aligned with the regime's variables."""
+    r1, r2 = _SYSTEMS[regime][3]
+    return sum(map(mul, r1, xs)), sum(map(mul, r2, xs))
 
 
 def _alloc_rows(regime: Regime) -> list:
     """The regime's rows in ``ALLOC_ORDER`` with bounds over (nc, ns, nr, nf, t1, t2), R1 = t1, R2 = t2."""
-    vars, rows, forms = _SYSTEMS[regime]
+    vars, rows, forms, _ = _SYSTEMS[regime]
     cols = [vars.index(v) for v in ALLOC_ORDER[regime]]
     rows = [(tuple(row[i] for i in cols), form) for row, form in zip(rows, forms)]
     return with_rates(ALLOC_ORDER[regime], rows, *rate_definitions(regime), 4)
@@ -220,17 +201,12 @@ class RateAllocation:
         return dict(self.values)
 
     def _vector(self) -> tuple[int, ...]:
-        """The values aligned with the regime's variables sorted by name; one not given reads 0."""
-        names, xs = zip(*self.values) if self.values else ((), ())
-        if names != _SORTED[self.regime][0]:
-            d = self.as_dict()
-            xs = tuple(d.get(v, 0) for v in _SORTED[self.regime][0])
-        return xs
+        """The values aligned with the regime's variables; one not given reads 0."""
+        d = self.as_dict()
+        return tuple(d.get(v, 0) for v in _SYSTEMS[self.regime][0])
 
     def rate_pair(self) -> tuple[int, int]:
-        xs = self._vector()
-        r1, r2 = _SORTED[self.regime][2]
-        return sum(map(mul, r1, xs)), sum(map(mul, r2, xs))
+        return _rate_pair(self.regime, self._vector())
 
 
 def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
@@ -330,7 +306,6 @@ class Scheme:
     """A complete executable description of one capacity-achieving code."""
 
     params: ChannelParams
-    regime: Regime
     alloc: RateAllocation
     stream_lengths: Mapping[str, int]
     sums: Mapping[str, tuple[str, ...]]
@@ -339,6 +314,10 @@ class Scheme:
     delivered: Mapping[int, tuple[str, ...]]
     rates: tuple[int, int]
     delta: int
+
+    @property
+    def regime(self) -> Regime:
+        return self.alloc.regime
 
     @property
     def feedback_levels(self) -> int:
@@ -395,11 +374,11 @@ class Scheme:
 class _Builder:
     """Accumulates slots, bindings and decode steps for one scheme."""
 
-    def __init__(self, p: ChannelParams, regime: Regime, alloc: RateAllocation):
+    def __init__(self, p: ChannelParams, alloc: RateAllocation, xs: tuple[int, ...]):
         self.p = p
         self.q = p.q
-        self.regime = regime
         self.alloc = alloc
+        self.rates = _rate_pair(alloc.regime, xs)
         self.streams: dict[str, int] = {}
         self.sums: dict[str, tuple[str, ...]] = {}
         self.slots: dict[str, list[Slot]] = {k: [] for k in ("x1", "x2", "xr", "xf")}
@@ -495,19 +474,18 @@ class _Builder:
         }
         return Scheme(
             params=self.p,
-            regime=self.regime,
             alloc=self.alloc,
             stream_lengths=dict(self.streams),
             sums=dict(self.sums),
             transmit=transmit,
             decode_plans={n: tuple(steps) for n, steps in self.plans.items()},
             delivered=filtered_delivered,
-            rates=self.alloc.rate_pair(),
+            rates=self.rates,
             delta=delta,
         )
 
 
-def _build_regime_a(p: ChannelParams, a: RateAllocation) -> Scheme:
+def _build_regime_a(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) -> Scheme:
     """CF + DF for ns <= nc <= nr.
 
     Sources stack [C-signal, D-signal] at the top.  The relay re-broadcasts
@@ -515,10 +493,9 @@ def _build_regime_a(p: ChannelParams, a: RateAllocation) -> Scheme:
     everything the sources can reach at the destinations, the rest below
     the D-levels, leaving the overheard C-signal clean in between.
     """
-    v = a.as_dict()
-    Rc1, Rc2, R1d, R2d = v["Rc1"], v["Rc2"], v["R1d"], v["R2d"]
+    Rc1, Rc2, R1d, R2d = xs
     Rc = Rc1 + Rc2
-    b = _Builder(p, Regime.A, a)
+    b = _Builder(p, a, xs)
     b.stream("c1", Rc)
     b.stream("c2", Rc)
     b.stream("csum", Rc, ("c1", "c2"))
@@ -553,7 +530,7 @@ def _build_regime_a(p: ChannelParams, a: RateAllocation) -> Scheme:
     return b.build({3: ("c1", "d1"), 4: ("c2", "d2")})
 
 
-def _build_regime_b(p: ChannelParams, a: RateAllocation) -> Scheme:
+def _build_regime_b(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) -> Scheme:
     """CF + CN + DF for nc <= min(ns, nr).
 
     The ns - nc levels the relay hears below the destinations' noise floor
@@ -561,12 +538,9 @@ def _build_regime_b(p: ChannelParams, a: RateAllocation) -> Scheme:
     into the present N-slot, which is harmless because backward decoding
     knows them one use ahead.
     """
-    v = a.as_dict()
-    Rc, R1d, R2d, Rb1, Rb2, Rn = (
-        v["Rc"], v["R1d"], v["R2d"], v["Rbar1d"], v["Rbar2d"], v["Rn"],
-    )
+    Rc, R1d, R2d, Rb1, Rb2, Rn = xs
     Rb = Rb1 + Rb2
-    b = _Builder(p, Regime.B, a)
+    b = _Builder(p, a, xs)
     b.stream("c1", Rc)
     b.stream("c2", Rc)
     b.stream("csum", Rc, ("c1", "c2"))
@@ -620,7 +594,7 @@ def _build_regime_b(p: ChannelParams, a: RateAllocation) -> Scheme:
     return b.build({3: ("c1", "d1", "du1", "n1"), 4: ("c2", "d2", "du2", "n2")})
 
 
-def _build_regime_c(p: ChannelParams, a: RateAllocation) -> Scheme:
+def _build_regime_c(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) -> Scheme:
     """CF + DF + symmetric/asymmetric F for max(nr, ns) < nc.
 
     The cross link is strong enough that the sources deliver relayed
@@ -631,12 +605,9 @@ def _build_regime_c(p: ChannelParams, a: RateAllocation) -> Scheme:
     both interferers are already known wherever they matter, so each D-rate
     costs a single destination level.
     """
-    v = a.as_dict()
-    Rc, R1d, R2d, R1f, R2f, Rbf = (
-        v["Rc"], v["R1d"], v["R2d"], v["R1f"], v["R2f"], v["Rbarf"],
-    )
+    Rc, R1d, R2d, R1f, R2f, Rbf = xs
     Rfmax = max(R1f, R2f)
-    b = _Builder(p, Regime.C, a)
+    b = _Builder(p, a, xs)
     b.stream("c1", Rc)
     b.stream("c2", Rc)
     b.stream("csum", Rc, ("c1", "c2"))
@@ -699,7 +670,7 @@ def _build_regime_c(p: ChannelParams, a: RateAllocation) -> Scheme:
     return b.build({3: ("c1", "d1", "f1", "bf1"), 4: ("c2", "d2", "f2", "bf2")})
 
 
-def _build_regime_d(p: ChannelParams, a: RateAllocation) -> Scheme:
+def _build_regime_d(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) -> Scheme:
     """CN + DF + symmetric/asymmetric F for nr < nc <= ns.
 
     Anything the destinations never need (future N-signals, the sym-F
@@ -707,12 +678,9 @@ def _build_regime_d(p: ChannelParams, a: RateAllocation) -> Scheme:
     ns - nc window has room, with the overflow placed above the aligned
     blocks; the two-part split of those streams tracks exactly that.
     """
-    v = a.as_dict()
-    R1f, R2f, Rba, Rbb, R1d, R2d, Rn1, Rn2 = (
-        v["R1f"], v["R2f"], v["Rbarf1"], v["Rbarf2"], v["R1d"], v["R2d"], v["Rn1"], v["Rn2"],
-    )
+    R1f, R2f, Rba, Rbb, R1d, R2d, Rn1, Rn2 = xs
     Rfmax = max(R1f, R2f)
-    b = _Builder(p, Regime.D, a)
+    b = _Builder(p, a, xs)
     b.stream("f1", R1f)
     b.stream("f2", R2f)
     b.stream("fsum", Rfmax, ("f1", "f2"))
@@ -817,7 +785,7 @@ def build_scheme(p: ChannelParams, alloc: RateAllocation) -> Scheme:
     """Materialize the full per-use signal plan for a feasible allocation."""
     _require_regime(alloc.regime, p)
     xs = alloc._vector()
-    for k, (row, b) in enumerate(zip(_SORTED[alloc.regime][1], _bounds(alloc.regime, p))):
+    for k, (row, b) in enumerate(zip(_SYSTEMS[alloc.regime][1], _bounds(alloc.regime, p))):
         if sum(map(mul, row, xs)) > b:
             raise SchemeError(f"allocation {alloc.as_dict()} violates {constraint_system(alloc.regime, p).ineqs[k]}")
-    return _BUILDERS[alloc.regime](p, alloc)
+    return _BUILDERS[alloc.regime](p, alloc, xs)

@@ -25,6 +25,7 @@ from ldbfn import (
     project_to_rates,
     rate_definitions,
     regime_of,
+    run,
 )
 from ldbfn import schemes
 from ldbfn.fm import lexmin_chain
@@ -183,6 +184,13 @@ class TestBuildScheme:
         with pytest.raises(SchemeError, match=re.escape(f"violates {violated}")):
             build_scheme(ChannelParams(2, 1, 3, 0), bad)
 
+    def test_partial_allocation_reads_missing_variables_as_zero(self):
+        alloc = RateAllocation.of(Regime.A, {"Rc1": 1})
+        scheme = build_scheme(ChannelParams(2, 1, 3, 0), alloc)
+        assert scheme.rates == alloc.rate_pair() == (1, 1)
+        _, report = run(scheme, n_blocks=8, seed=1)
+        assert not report.errors
+
     def test_layouts_fit_inside_q_and_relay_extents(self):
         for p, scheme in sample_schemes(3):
             q = p.q
@@ -252,7 +260,7 @@ def reference_allocate(p, target):
     """
     t1, t2 = target
     regime = regime_of(p)
-    vars, rows, _ = schemes._SYSTEMS[regime]
+    vars, rows, _, _ = schemes._SYSTEMS[regime]
     bounds = schemes._bounds(regime, p)
     r1_def, r2_def = rate_definitions(regime)
     order = ALLOC_ORDER[regime]
