@@ -46,13 +46,12 @@ otherwise a ceiling overshot its interval, and SchemeError names the variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Mapping, NamedTuple
 
 from .fm import EmptyIntervalError, IneqSystem, LinearIneq, evaluate_projection, integer_lexmin, lexmin_chain, with_rates
 from .gf2 import ChannelParams, SignalLayout, Slot
-from .regions import RatePoint, RateRegion, Regime, applicable_regimes, achievable_region, regime_of
+from .regions import RateRegion, Regime, applicable_regimes, achievable_region, hs, regime_of
 
 
 class SchemeError(RuntimeError):
@@ -219,18 +218,12 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
     if t1 != int(t1) or t2 != int(t2):
         raise InfeasibleTargetError(f"target {target} is not an integer point")
     t1, t2 = int(t1), int(t2)
-    region = achievable_region(p)
-    if t1 < 0 or t2 < 0 or any(a1 * t1 + a2 * t2 > b for a1, a2, b in region.rows):
-        pt = RatePoint(Fraction(t1), Fraction(t2))
-        violated = next((h for h in region.halfspaces if not h.holds(pt)), None)
-        detail = (
-            f" (violates {int(violated.a1)}*R1 + {int(violated.a2)}*R2 <= {int(violated.b)})"
-            if violated is not None
-            else ""
-        )
+    row = next((r for r in achievable_region(p).rows if r[0] * t1 + r[1] * t2 > r[2]), None)
+    if t1 < 0 or t2 < 0 or row:
+        detail = " (violates {}*R1 + {}*R2 <= {})".format(*row) if row else ""
         raise InfeasibleTargetError(
             f"target ({t1}, {t2}) is outside the achievable region for {p}{detail}",
-            violated=violated,
+            violated=hs(*row) if row else None,
         )
 
     regime = regime_of(p)
