@@ -486,24 +486,13 @@ def parallel_map(fn: Callable, jobs: Iterable, chunksize: int) -> Iterator:
         yield from pool.map(fn, jobs, chunksize=chunksize)
 
 
-def verify_corner_sweep(
-    max_levels: int | tuple[int, int, int, int] = 3,
-    n_blocks: int = 8,
-    seed: int = 1,
-) -> SweepSummary:
+def verify_corner_sweep(max_levels: int = 3, n_blocks: int = 8, seed: int = 1) -> SweepSummary:
     """Run every integer corner of every tuple on the lattice, expect zero errors.
 
     ``LDBFN_THREADS`` > 1 distributes tuples over worker processes; each
     (tuple, corner) job owns its state, so results merge by reduction.
     """
-    if isinstance(max_levels, int):
-        bounds = (max_levels,) * 4
-    else:
-        bounds = max_levels
-    jobs = [
-        (levels, n_blocks, seed)
-        for levels in product(*(range(b + 1) for b in bounds))
-    ]
+    jobs = [(levels, n_blocks, seed) for levels in product(range(max_levels + 1), repeat=4)]
     n_runs = 0
     failures: list[SweepFailure] = []
     for count, fails in parallel_map(_verify_tuple, jobs, chunksize=16):
