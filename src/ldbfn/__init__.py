@@ -10,7 +10,6 @@ from .gf2 import (
     Slot,
     channel_step,
     pack,
-    shift_receive,
     unpack,
 )
 from .regions import (

@@ -144,19 +144,6 @@ class NetworkOutputs:
     y4: BitVector  # destination 2
 
 
-def shift_receive(x: BitVector, n: int) -> BitVector:
-    """Receive ``x`` through a link of strength ``n``.
-
-    The top n bits of x land on the bottom n positions of the output and
-    every other output position is 0 (the down-shift by q-n of the q x q
-    shift matrix).  n = q is the identity, n = 0 annihilates.
-    """
-    q = x.q
-    if not 0 <= n <= q:
-        raise ValueError(f"link strength {n} outside [0, {q}]")
-    return BitVector.from_word(x.word >> (q - n), q)
-
-
 def channel_words(params: ChannelParams, x1: int, x2: int, xr: int, xf: int) -> tuple[int, int, int, int]:
     """One noiseless use of the network on q-bit words; returns (y0, y1, y3, y4).
 

@@ -10,7 +10,6 @@ from ldbfn import (
     Slot,
     channel_step,
     pack,
-    shift_receive,
     unpack,
 )
 
@@ -25,42 +24,55 @@ def shift_matrix_oracle(x: BitVector, n: int) -> BitVector:
     return BitVector(tuple(vec))
 
 
+def all_zero_inputs(q):
+    z = BitVector.zero(q)
+    return NetworkInputs(z, z, z, z)
+
+
+def random_vector(data, q):
+    return BitVector.from_word(data.draw(st.integers(0, (1 << q) - 1)), q)
+
+
 class TestShiftReceive:
+    """Every link of ``channel_step`` against the explicit shift matrix."""
+
     def test_identity_at_full_strength(self):
-        assert shift_receive(BitVector((1, 0, 1)), 3) == BitVector((1, 0, 1))
+        x, z = BitVector((1, 0, 1)), BitVector.zero(3)
+        outs = channel_step(NetworkInputs(x, z, x, x), ChannelParams(3, 0, 0, 3))
+        assert outs.y4 == outs.y1 == x
+        assert outs.y3.is_zero() and outs.y0.is_zero()
 
     def test_annihilates_at_zero(self):
-        assert shift_receive(BitVector((1, 1, 1)), 0) == BitVector((0, 0, 0))
+        x = BitVector((1, 1, 1))
+        outs = channel_step(NetworkInputs(x, x, x, x), ChannelParams(0, 3, 0, 0))
+        assert all(getattr(outs, n).is_zero() for n in ("y0", "y1", "y2", "y3", "y4"))
 
     def test_single_shift_matches_matrix_oracle(self):
         x = BitVector((1, 0, 1))
         expected = shift_matrix_oracle(x, 1)
         assert expected == BitVector((0, 0, 1))
-        assert shift_receive(x, 1) == expected
+        z = BitVector.zero(3)
+        assert channel_step(NetworkInputs(z, x, z, z), ChannelParams(1, 3, 0, 0)).y3 == expected
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=8), st.data())
-    def test_matches_matrix_oracle(self, bits, data):
-        x = BitVector(tuple(bits))
-        n = data.draw(st.integers(0, len(bits)))
-        assert shift_receive(x, n) == shift_matrix_oracle(x, n)
+    @given(st.data())
+    def test_matches_matrix_oracle(self, data):
+        p = ChannelParams(*(data.draw(st.integers(0, 5)) for _ in range(4)))
+        x1, x2, xr, xf = (random_vector(data, p.q) for _ in range(4))
+        outs = channel_step(NetworkInputs(x1, x2, xr, xf), p)
+        S = shift_matrix_oracle
+        assert outs.y0 == S(x1 ^ x2, p.ns)
+        assert outs.y1 == outs.y2 == S(xf, p.nf)
+        assert outs.y3 == S(x2, p.nc) ^ S(xr, p.nr)
+        assert outs.y4 == S(x1, p.nc) ^ S(xr, p.nr)
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=8), st.data())
-    def test_preserves_exactly_top_bits(self, bits, data):
-        x = BitVector(tuple(bits))
-        q = len(bits)
-        n = data.draw(st.integers(0, q))
-        y = shift_receive(x, n)
+    @given(st.data())
+    def test_preserves_exactly_top_bits(self, data):
+        p = ChannelParams(*(data.draw(st.integers(0, 5)) for _ in range(4)))
+        q, n, z = p.q, p.nc, BitVector.zero(p.q)
+        x = random_vector(data, q)
+        y = channel_step(NetworkInputs(x, z, z, z), p).y4
         assert y.bits[q - n:] == x.bits[:n]
         assert all(b == 0 for b in y.bits[:q - n])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            shift_receive(BitVector((1, 0)), 3)
-
-
-def all_zero_inputs(q):
-    z = BitVector.zero(q)
-    return NetworkInputs(z, z, z, z)
 
 
 class TestChannelStep:
@@ -88,8 +100,8 @@ class TestChannelStep:
         z = BitVector.zero(p.q)
         outs = channel_step(NetworkInputs(x, x, z, z), p)
         assert outs.y0.is_zero()
-        assert outs.y3 == shift_receive(x, p.nc)
-        assert outs.y4 == shift_receive(x, p.nc)
+        assert outs.y3 == shift_matrix_oracle(x, p.nc)
+        assert outs.y4 == shift_matrix_oracle(x, p.nc)
 
     @given(st.data())
     def test_feedback_broadcast_identical(self, data):
