@@ -24,11 +24,6 @@ def shift_matrix_oracle(x: BitVector, n: int) -> BitVector:
     return BitVector(tuple(vec))
 
 
-def all_zero_inputs(q):
-    z = BitVector.zero(q)
-    return NetworkInputs(z, z, z, z)
-
-
 def random_vector(data, q):
     return BitVector.from_word(data.draw(st.integers(0, (1 << q) - 1)), q)
 
@@ -73,6 +68,11 @@ class TestShiftReceive:
         y = channel_step(NetworkInputs(x, z, z, z), p).y4
         assert y.bits[q - n:] == x.bits[:n]
         assert all(b == 0 for b in y.bits[:q - n])
+
+
+def all_zero_inputs(q):
+    z = BitVector.zero(q)
+    return NetworkInputs(z, z, z, z)
 
 
 class TestChannelStep:
