@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -34,6 +35,7 @@ from ldbfn.schemes import ALLOC_ORDER, Subtract, projected_region
 SHOWCASE = ChannelParams(2, 3, 1, 1)
 NETGAIN = ChannelParams(6, 3, 1, 1)
 ALLOCATE_GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden" / "allocate_max5.txt"
+SCHEMES_GOLDEN = ALLOCATE_GOLDEN.with_name("schemes_max4.txt")
 
 
 def nonzero(alloc):
@@ -250,6 +252,60 @@ class TestBuildScheme:
         assert payload["feedback_levels"] == 1
         names1 = {s["name"] for s in payload["layouts"]["x1"]["slots"]}
         assert {"f1_slot", "nb1_present", "nb1_future"} <= names1
+
+    def test_schemes_match_golden_and_every_allocation_is_zero_error(self):
+        # One line per scheme: "nc,ns,nr,nf regime values digest", the values
+        # in _SYSTEMS order and the digest the first 16 hex digits of the
+        # sha256 of the sorted scheme JSON.  First the lexmin corners on
+        # [0,4]^4, then every feasible allocation of every applicable regime
+        # on [0,3]^4; each of the latter also runs error-free at N=8.
+        def line(p, alloc, scheme):
+            text = json.dumps(scheme.to_jsonable(), sort_keys=True)
+            return " ".join((
+                ",".join(map(str, (p.nc, p.ns, p.nr, p.nf))),
+                alloc.regime.value,
+                ",".join(str(v) for v in alloc._vector()),
+                hashlib.sha256(text.encode()).hexdigest()[:16],
+            ))
+
+        lines = []
+        for tup in product(range(5), repeat=4):
+            p = ChannelParams(*tup)
+            for corner in integer_corners(p):
+                alloc = allocate(p, corner)
+                lines.append(line(p, alloc, build_scheme(p, alloc)))
+        for tup in product(range(4), repeat=4):
+            p = ChannelParams(*tup)
+            for regime in applicable_regimes(p):
+                for xs in feasible_allocations(regime, p):
+                    alloc = RateAllocation.of(regime, dict(zip(schemes._SYSTEMS[regime][0], xs)))
+                    scheme = build_scheme(p, alloc)
+                    lines.append(line(p, alloc, scheme))
+                    _, report = run(scheme, n_blocks=8, seed=1)
+                    assert not report.errors, lines[-1]
+                    assert report.delivered_bits == (8 * scheme.rates[0], 8 * scheme.rates[1]), lines[-1]
+        assert lines == SCHEMES_GOLDEN.read_text().splitlines()
+
+
+def feasible_allocations(regime, p):
+    """Every feasible integer allocation of ``regime`` at ``p``, in _SYSTEMS order.
+
+    A walk over the rows' slacks: every row coefficient is non-negative, so
+    each variable ranges up to the least slack its rows have left.
+    """
+    vars, rows, _, _ = schemes._SYSTEMS[regime]
+    columns = list(zip(*rows))
+
+    def walk(i, slacks):
+        if i == len(vars):
+            yield ()
+            return
+        column = columns[i]
+        for v in range(min(s // c for s, c in zip(slacks, column) if c) + 1):
+            for rest in walk(i + 1, [s - v * c for s, c in zip(slacks, column)]):
+                yield (v, *rest)
+
+    yield from walk(0, schemes._bounds(regime, p))
 
 
 def reference_allocate(p, target):
