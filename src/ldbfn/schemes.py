@@ -201,8 +201,12 @@ class RateAllocation:
 
     def _vector(self) -> tuple[int, ...]:
         """The values aligned with the regime's variables; one not given reads 0."""
+        vars = _SYSTEMS[self.regime][0]
+        for name, value in self.values:
+            if name not in vars or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} = {value} is not a non-negative integer value of a regime {self.regime.value} variable")
         d = self.as_dict()
-        return tuple(d.get(v, 0) for v in _SYSTEMS[self.regime][0])
+        return tuple(d.get(v, 0) for v in vars)
 
     def rate_pair(self) -> tuple[int, int]:
         return _rate_pair(self.regime, self._vector())
@@ -364,8 +368,11 @@ class Scheme:
         }
 
 
+_SIGNALS = ("x1", "x2", "xr", "xf")
+
+
 class _Builder:
-    """Accumulates slots, bindings and decode steps for one scheme."""
+    """Accumulates streams, slots, bindings and decode steps for one scheme."""
 
     def __init__(self, p: ChannelParams, alloc: RateAllocation, xs: tuple[int, ...]):
         self.p = p
@@ -374,49 +381,43 @@ class _Builder:
         self.rates = _rate_pair(alloc.regime, xs)
         self.streams: dict[str, int] = {}
         self.sums: dict[str, tuple[str, ...]] = {}
-        self.slots: dict[str, list[Slot]] = {k: [] for k in ("x1", "x2", "xr", "xf")}
-        self.named: dict[str, dict[str, Slot]] = {k: {} for k in ("x1", "x2", "xr", "xf")}
-        self.bindings: dict[str, list[Binding]] = {k: [] for k in ("x1", "x2", "xr", "xf")}
-        self.overlaps: dict[str, set[frozenset[str]]] = {k: set() for k in ("x1", "x2", "xr", "xf")}
+        self.named: dict[str, dict[str, Slot]] = {k: {} for k in _SIGNALS}
+        self.bindings: dict[str, list[Binding]] = {k: [] for k in _SIGNALS}
+        self.overlaps: dict[str, set[frozenset[str]]] = {k: set() for k in _SIGNALS}
         self.plans: dict[int, list[DecodeStep]] = {0: [], 1: [], 2: [], 3: [], 4: []}
-        self.delivered: dict[int, tuple[str, ...]] = {3: (), 4: ()}
 
-    def stream(self, name: str, length: int, parts: tuple[str, ...] | None = None) -> None:
+    def stream(self, name: str, length: int) -> None:
         if length > 0:
             self.streams[name] = length
-            if parts is not None:
-                self.sums[name] = tuple(p for p in parts if p in self.streams)
+
+    def pair(self, prefix: str, r1: int, r2: int | None = None) -> None:
+        """Streams prefix1 and prefix2 (of length r2, r1 if not given) and their XOR prefixsum."""
+        r2 = r1 if r2 is None else r2
+        self.stream(f"{prefix}1", r1)
+        self.stream(f"{prefix}2", r2)
+        if max(r1, r2) > 0:
+            self.streams[f"{prefix}sum"] = max(r1, r2)
+            self.sums[f"{prefix}sum"] = tuple(s for s in (f"{prefix}1", f"{prefix}2") if s in self.streams)
 
     def tx(self, signal: str, name: str, start: int, length: int,
            stream: str, offset: int, take: int = 0) -> None:
+        """Bind ``stream`` to the slot, if the stream exists; bindings of one slot XOR."""
         if length <= 0:
             return
-        self.slots[signal].append(slot := Slot(name, start, length))
-        self.named[signal].setdefault(name, slot)
-        self.bindings[signal].append(Binding(name, stream, offset, take))
-
-    def tx_xor(self, signal: str, name: str, start: int, length: int,
-               parts: tuple[tuple[str, int], ...]) -> None:
-        """One slot fed by the XOR of several (stream, offset) bindings."""
-        if length <= 0:
-            return
-        self.slots[signal].append(slot := Slot(name, start, length))
-        self.named[signal].setdefault(name, slot)
-        for stream, offset in parts:
-            if self.streams.get(stream, 0) > 0:
-                self.bindings[signal].append(Binding(name, stream, offset))
+        slot = Slot(name, start, length)
+        if (old := self.named[signal].setdefault(name, slot)) != slot:
+            raise SchemeError(f"slot {name} of {signal} redeclared as {slot}, was {old}")
+        if stream in self.streams:
+            self.bindings[signal].append(Binding(name, stream, offset, take))
 
     def declare_overlap(self, signal: str, a: str, b: str) -> None:
         names = self.named[signal]
         if a in names and b in names:
             self.overlaps[signal].add(frozenset((a, b)))
 
-    def _slot(self, signal: str, name: str) -> Slot | None:
-        return self.named[signal].get(name)
-
     def land(self, signal: str, name: str, gain: int) -> tuple[int, int]:
         """(receive position, visible length) of a transmitted slot."""
-        s = self._slot(signal, name)
+        s = self.named[signal].get(name)
         if s is None:
             return (0, 0)
         vis = min(s.stop, gain) - s.start
@@ -431,7 +432,7 @@ class _Builder:
 
     def read(self, node: int, signal: str, slot: str, gain: int,
              stream: str, offset: int, at: int = 0) -> None:
-        s = self._slot(signal, slot)
+        s = self.named[signal].get(slot)
         if s is None:
             return
         pos, vis = self.land(signal, slot, gain)
@@ -443,16 +444,16 @@ class _Builder:
         self.plans[node].append(Read(stream, offset, pos, s.length, at))
 
     def combine(self, node: int, target: str, a: str, b: str, offset: int) -> None:
-        if self.streams.get(target, 0) > 0:
+        if target in self.streams:
             self.plans[node].append(Combine(target, a, b, offset))
 
-    def build(self, delivered: Mapping[int, tuple[str, ...]]) -> Scheme:
+    def build(self) -> Scheme:
         transmit = {
             key: TransmitPlan(
-                SignalLayout(self.q, tuple(self.slots[key]), frozenset(self.overlaps[key])),
+                SignalLayout(self.q, tuple(self.named[key].values()), frozenset(self.overlaps[key])),
                 tuple(self.bindings[key]),
             )
-            for key in ("x1", "x2", "xr", "xf")
+            for key in _SIGNALS
         }
         # Structural sanity: the relay may only occupy its top nr / nf levels.
         if transmit["xr"].layout.occupied_extent() > self.p.nr:
@@ -460,11 +461,8 @@ class _Builder:
         if transmit["xf"].layout.occupied_extent() > self.p.nf:
             raise SchemeError("feedback layout exceeds nf levels")
         look = [1] + [-b.offset for key in ("x1", "x2") for b in transmit[key].bindings]
-        delta = max(look)
-        filtered_delivered = {
-            node: tuple(s for s in streams if self.streams.get(s, 0) > 0)
-            for node, streams in delivered.items()
-        }
+        # Destination j + 2 delivers source j's message streams.
+        messages = [s for s in self.streams if s not in self.sums]
         return Scheme(
             params=self.p,
             alloc=self.alloc,
@@ -472,13 +470,13 @@ class _Builder:
             sums=dict(self.sums),
             transmit=transmit,
             decode_plans={n: tuple(steps) for n, steps in self.plans.items()},
-            delivered=filtered_delivered,
+            delivered={j + 2: tuple(s for s in messages if Scheme.owner(s) == j) for j in (1, 2)},
             rates=self.rates,
-            delta=delta,
+            delta=max(look),
         )
 
 
-def _build_regime_a(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) -> Scheme:
+def _build_regime_a(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     """CF + DF for ns <= nc <= nr.
 
     Sources stack [C-signal, D-signal] at the top.  The relay re-broadcasts
@@ -488,10 +486,7 @@ def _build_regime_a(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) ->
     """
     Rc1, Rc2, R1d, R2d = xs
     Rc = Rc1 + Rc2
-    b = _Builder(p, a, xs)
-    b.stream("c1", Rc)
-    b.stream("c2", Rc)
-    b.stream("csum", Rc, ("c1", "c2"))
+    b.pair("c", Rc)
     b.stream("d1", R1d)
     b.stream("d2", R2d)
 
@@ -520,10 +515,8 @@ def _build_regime_a(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) ->
         b.read(dest, "xr", "d2_fwd", p.nr, "d2", -1)
         b.combine(dest, f"c{own}", "csum", f"c{other}", 0)
 
-    return b.build({3: ("c1", "d1"), 4: ("c2", "d2")})
 
-
-def _build_regime_b(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) -> Scheme:
+def _build_regime_b(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     """CF + CN + DF for nc <= min(ns, nr).
 
     The ns - nc levels the relay hears below the destinations' noise floor
@@ -533,17 +526,12 @@ def _build_regime_b(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) ->
     """
     Rc, R1d, R2d, Rb1, Rb2, Rn = xs
     Rb = Rb1 + Rb2
-    b = _Builder(p, a, xs)
-    b.stream("c1", Rc)
-    b.stream("c2", Rc)
-    b.stream("csum", Rc, ("c1", "c2"))
+    b.pair("c", Rc)
     b.stream("d1", R1d)
     b.stream("d2", R2d)
     b.stream("du1", Rb1)
     b.stream("du2", Rb2)
-    b.stream("n1", Rn)
-    b.stream("n2", Rn)
-    b.stream("nsum", Rn, ("n1", "n2"))
+    b.pair("n", Rn)
 
     c_start = p.nc - Rc - R1d - R2d - Rn
     for sig, j in (("x1", 1), ("x2", 2)):
@@ -584,10 +572,8 @@ def _build_regime_b(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) ->
         b.read(dest, cross, f"n{other}_present", p.nc, f"n{own}", -1)
         b.combine(dest, f"c{own}", "csum", f"c{other}", 0)
 
-    return b.build({3: ("c1", "d1", "du1", "n1"), 4: ("c2", "d2", "du2", "n2")})
 
-
-def _build_regime_c(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) -> Scheme:
+def _build_regime_c(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     """CF + DF + symmetric/asymmetric F for max(nr, ns) < nc.
 
     The cross link is strong enough that the sources deliver relayed
@@ -600,18 +586,11 @@ def _build_regime_c(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) ->
     """
     Rc, R1d, R2d, R1f, R2f, Rbf = xs
     Rfmax = max(R1f, R2f)
-    b = _Builder(p, a, xs)
-    b.stream("c1", Rc)
-    b.stream("c2", Rc)
-    b.stream("csum", Rc, ("c1", "c2"))
+    b.pair("c", Rc)
     b.stream("d1", R1d)
     b.stream("d2", R2d)
-    b.stream("f1", R1f)
-    b.stream("f2", R2f)
-    b.stream("fsum", Rfmax, ("f1", "f2"))
-    b.stream("bf1", Rbf)
-    b.stream("bf2", Rbf)
-    b.stream("bfsum", Rbf, ("bf1", "bf2"))
+    b.pair("f", R1f, R2f)
+    b.pair("bf", Rbf)
 
     # Window start for the overlapped [bf delivery (+) D-slot] block.
     w0 = Rc + R1f + R2f + Rbf
@@ -629,7 +608,8 @@ def _build_regime_c(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) ->
     b.tx("xr", "d1_fwd", p.nr - Rc - R1d - R2d, R1d, "d1", -1)
     b.tx("xr", "d2_fwd", p.nr - Rc - R2d, R2d, "d2", -1)
     b.tx("xr", "csum_fwd", p.nr - Rc, Rc, "csum", -1)
-    b.tx_xor("xf", "fsum", 0, Rfmax, (("f1", -1), ("f2", -1)))
+    b.tx("xf", "fsum", 0, Rfmax, "f1", -1)
+    b.tx("xf", "fsum", 0, Rfmax, "f2", -1)
     b.tx("xf", "bfsum", Rfmax, Rbf, "bfsum", -1)
 
     # Relay: strip the two-use-old F-signals riding on the same levels.
@@ -660,10 +640,8 @@ def _build_regime_c(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) ->
         b.read(dest, "xr", "csum_fwd", p.nr, "csum", -1)
         b.combine(dest, f"c{own}", "csum", f"c{other}", 0)
 
-    return b.build({3: ("c1", "d1", "f1", "bf1"), 4: ("c2", "d2", "f2", "bf2")})
 
-
-def _build_regime_d(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) -> Scheme:
+def _build_regime_d(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     """CN + DF + symmetric/asymmetric F for nr < nc <= ns.
 
     Anything the destinations never need (future N-signals, the sym-F
@@ -673,24 +651,13 @@ def _build_regime_d(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) ->
     """
     R1f, R2f, Rba, Rbb, R1d, R2d, Rn1, Rn2 = xs
     Rfmax = max(R1f, R2f)
-    b = _Builder(p, a, xs)
-    b.stream("f1", R1f)
-    b.stream("f2", R2f)
-    b.stream("fsum", Rfmax, ("f1", "f2"))
-    b.stream("bfa1", Rba)
-    b.stream("bfa2", Rba)
-    b.stream("bfasum", Rba, ("bfa1", "bfa2"))
-    b.stream("bfb1", Rbb)
-    b.stream("bfb2", Rbb)
-    b.stream("bfbsum", Rbb, ("bfb1", "bfb2"))
+    b.pair("f", R1f, R2f)
+    b.pair("bfa", Rba)
+    b.pair("bfb", Rbb)
     b.stream("d1", R1d)
     b.stream("d2", R2d)
-    b.stream("na1", Rn1)
-    b.stream("na2", Rn1)
-    b.stream("nasum", Rn1, ("na1", "na2"))
-    b.stream("nb1", Rn2)
-    b.stream("nb2", Rn2)
-    b.stream("nbsum", Rn2, ("nb1", "nb2"))
+    b.pair("na", Rn1)
+    b.pair("nb", Rn2)
 
     pad0 = p.nc - (R1f + R2f + 2 * Rba + Rbb + R1d + R2d + 2 * Rn1 + Rn2)
     pos_f1 = pad0
@@ -723,7 +690,8 @@ def _build_regime_d(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) ->
     b.tx("xr", "d2_fwd", rbase + R1d, R2d, "d2", -1)
     b.tx("xr", "nasum_fwd", rbase + R1d + R2d, Rn1, "nasum", -1)
     b.tx("xr", "nbsum_fwd", p.nr - Rn2, Rn2, "nbsum", -1)
-    b.tx_xor("xf", "fsum", 0, Rfmax, (("f1", -1), ("f2", -1)))
+    b.tx("xf", "fsum", 0, Rfmax, "f1", -1)
+    b.tx("xf", "fsum", 0, Rfmax, "f2", -1)
     b.tx("xf", "bfasum", Rfmax, Rba, "bfasum", -1)
     b.tx("xf", "bfbsum", Rfmax + Rba, Rbb, "bfbsum", -1)
 
@@ -761,10 +729,6 @@ def _build_regime_d(p: ChannelParams, a: RateAllocation, xs: tuple[int, ...]) ->
         b.read(dest, cross, f"na{other}_present", p.nc, f"na{own}", -1)
         b.read(dest, cross, f"nb{other}_present", p.nc, f"nb{own}", -1)
 
-    return b.build(
-        {3: ("f1", "bfa1", "bfb1", "d1", "na1", "nb1"), 4: ("f2", "bfa2", "bfb2", "d2", "na2", "nb2")}
-    )
-
 
 _BUILDERS = {
     Regime.A: _build_regime_a,
@@ -778,7 +742,9 @@ def build_scheme(p: ChannelParams, alloc: RateAllocation) -> Scheme:
     """Materialize the full per-use signal plan for a feasible allocation."""
     _require_regime(alloc.regime, p)
     xs = alloc._vector()
-    for k, (row, b) in enumerate(zip(_SYSTEMS[alloc.regime][1], _bounds(alloc.regime, p))):
-        if sum(map(mul, row, xs)) > b:
+    for k, (row, bound) in enumerate(zip(_SYSTEMS[alloc.regime][1], _bounds(alloc.regime, p))):
+        if sum(map(mul, row, xs)) > bound:
             raise SchemeError(f"allocation {alloc.as_dict()} violates {constraint_system(alloc.regime, p).ineqs[k]}")
-    return _BUILDERS[alloc.regime](p, alloc, xs)
+    b = _Builder(p, alloc, xs)
+    _BUILDERS[alloc.regime](b, p, xs)
+    return b.build()

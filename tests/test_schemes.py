@@ -193,6 +193,27 @@ class TestBuildScheme:
         _, report = run(scheme, n_blocks=8, seed=1)
         assert not report.errors
 
+    @pytest.mark.parametrize("values, name", [
+        ({"Rc1": 1, "Rc3": 7}, "Rc3"), ({"Rc1": -1}, "Rc1"), ({"R1d": 0.5}, "R1d"),
+    ])
+    def test_foreign_or_negative_allocation_value_rejected(self, values, name):
+        alloc = RateAllocation.of(Regime.A, values)
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            build_scheme(ChannelParams(2, 1, 3, 0), alloc)
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            alloc.rate_pair()
+
+    def test_builder_tx_xors_existing_streams_and_rejects_a_moved_slot(self):
+        alloc = RateAllocation.of(Regime.A, {})
+        b = schemes._Builder(ChannelParams(2, 1, 3, 0), alloc, alloc._vector())
+        b.pair("c", 1)
+        b.tx("x1", "c1", 0, 1, "c1", 0)
+        b.tx("x1", "c1", 0, 1, "c2", 0)
+        b.tx("x1", "c1", 0, 1, "d1", 0)
+        assert b.bindings["x1"] == [("c1", "c1", 0, 0), ("c1", "c2", 0, 0)]
+        with pytest.raises(SchemeError, match="slot c1 of x1 redeclared"):
+            b.tx("x1", "c1", 1, 1, "c1", 0)
+
     def test_layouts_fit_inside_q_and_relay_extents(self):
         for p, scheme in sample_schemes(3):
             q = p.q
