@@ -196,7 +196,7 @@ class TestBuildScheme:
     @pytest.mark.parametrize("values, name", [
         ({"Rc1": 1, "Rc3": 7}, "Rc3"), ({"Rc1": -1}, "Rc1"), ({"R1d": 0.5}, "R1d"),
     ])
-    def test_foreign_or_negative_allocation_value_rejected(self, values, name):
+    def test_foreign_negative_or_fractional_allocation_value_rejected(self, values, name):
         alloc = RateAllocation.of(Regime.A, values)
         with pytest.raises(ValueError, match=f"^{name} = "):
             build_scheme(ChannelParams(2, 1, 3, 0), alloc)
