@@ -90,7 +90,7 @@ def _max_sum_corner(p: ChannelParams) -> tuple[int, int]:
 def _feedback_usage(p: ChannelParams) -> int:
     """Feedback levels per use consumed at the sum-capacity corner."""
     corner = _max_sum_corner(p)
-    return build_scheme(p, allocate(p, corner)).feedback_levels
+    return allocate(p, corner).feedback_levels
 
 
 def _net_gain_value(p: ChannelParams, r_f: int | None = None) -> Fraction:

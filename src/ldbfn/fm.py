@@ -266,8 +266,9 @@ def enumerate_integer_projection(
     Walks every non-negative integer assignment with components up to
     ``bound`` (default: the largest inequality bound), keeps the ones
     satisfying every inequality and maps them through the rate definitions.
-    Depth-first with exact slack pruning, so exactly the satisfying
-    assignments are visited.
+    Depth-first over one interval per variable: given the slacks the earlier
+    values leave, the values of variable i that keep every row completable
+    form an interval, so exactly the satisfying assignments are visited.
     """
     _check_defs(system, "r1_def", r1_def)
     _check_defs(system, "r2_def", r2_def)
@@ -276,12 +277,13 @@ def enumerate_integer_projection(
         bound = max([0] + [b for _, (b,) in rows])
     nv = len(system.vars)
 
+    nonneg = [(coeffs, b) for coeffs, (b,) in rows if all(x >= 0 for x in coeffs)]
     caps = []
     for i in range(nv):
         cap = bound
-        for coeffs, (b,) in rows:
+        for coeffs, b in nonneg:
             c = coeffs[i]
-            if c > 0 and all(x >= 0 for x in coeffs):
+            if c > 0:
                 cap = min(cap, b // c if b >= 0 else -1)
         caps.append(max(cap, -1))
     if prod(cap + 1 for cap in caps) > ENUMERATION_LIMIT:
@@ -298,25 +300,34 @@ def enumerate_integer_projection(
     rest = [(0,) * len(rows)]
     for i in reversed(range(nv)):
         rest.insert(0, tuple(r + c * caps[i] if c < 0 else r for r, c in zip(rest[0], columns[i])))
-    all_nonneg = all(c >= 0 for coeffs, _ in rows for c in coeffs)
+    # terms[i]: (row, coefficient, rest[i + 1] entry) of each row that has variable i.
+    terms = [tuple((k, c, m) for k, (c, m) in enumerate(zip(columns[i], rest[i + 1])) if c) for i in range(nv)]
 
     def walk(i: int, slacks: list[int], r1: int, r2: int) -> None:
-        if i == nv:
-            achieved.add((r1, r2))
+        # Row k stays completable iff val * c <= slacks[k] - m, an upper end for val if c > 0 and a
+        # lower one if c < 0.  A row without variable i needs nothing: its slack already met rest[i],
+        # which equals rest[i + 1] there.
+        lo, hi = 0, caps[i]
+        for k, c, m in terms[i]:
+            if c > 0:
+                if (slacks[k] - m) // c < hi:
+                    hi = (slacks[k] - m) // c
+            elif -((slacks[k] - m) // -c) > lo:
+                lo = -((slacks[k] - m) // -c)
+        a, b = r1c[i], r2c[i]
+        if i + 1 == nv:
+            achieved.update([(r1 + a * val, r2 + b * val) for val in range(lo, hi + 1)])
             return
-        column, floor = columns[i], rest[i + 1]
-        for val in range(caps[i] + 1):
-            new = [s - val * c for s, c in zip(slacks, column)]
-            # A row is unsatisfiable iff even the smallest completion overshoots.
-            if any(s < m for s, m in zip(new, floor)):
-                if all_nonneg:
-                    break  # larger values only make it worse
-                continue
-            walk(i + 1, new, r1 + r1c[i] * val, r2 + r2c[i] * val)
+        column = columns[i]
+        for val in range(lo, hi + 1):
+            walk(i + 1, [s - val * c for s, c in zip(slacks, column)], r1 + a * val, r2 + b * val)
 
     bounds = [b for _, (b,) in rows]
     if all(b >= m for b, m in zip(bounds, rest[0])):
-        walk(0, bounds, 0, 0)
+        if nv:
+            walk(0, bounds, 0, 0)
+        else:
+            achieved.add((0, 0))
     return achieved
 
 

@@ -115,7 +115,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         for name in ("nc", "ns", "nr", "nf"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
         object.__setattr__(self, "q", max(self.nc, self.ns, self.nr, self.nf, 1))
 

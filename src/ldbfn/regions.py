@@ -163,9 +163,11 @@ def _vertex_triples(rows: Iterable[Row]) -> set[Vertex]:
             num2 = a1 * b2 - b1 * c1
             if det < 0:
                 det, num1, num2 = -det, -num1, -num2
-            if any(r1 * num1 + r2 * num2 > rb * det for r1, r2, rb in rows):
-                continue
-            pts.add(_primitive(num1, num2, det))
+            for r1, r2, rb in rows:
+                if r1 * num1 + r2 * num2 > rb * det:
+                    break
+            else:
+                pts.add(_primitive(num1, num2, det))
     return pts
 
 

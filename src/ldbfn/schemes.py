@@ -199,17 +199,28 @@ class RateAllocation:
     def as_dict(self) -> dict[str, int]:
         return dict(self.values)
 
-    def _vector(self) -> tuple[int, ...]:
-        """The values aligned with the regime's variables; one not given reads 0."""
+    def _checked(self) -> dict[str, int]:
+        """The values by name, each a non-negative int of a regime variable, else ValueError."""
         vars = _SYSTEMS[self.regime][0]
         for name, value in self.values:
-            if name not in vars or not isinstance(value, int) or value < 0:
+            if name not in vars or type(value) is not int or value < 0:
                 raise ValueError(f"{name} = {value} is not a non-negative integer value of a regime {self.regime.value} variable")
-        d = self.as_dict()
-        return tuple(d.get(v, 0) for v in vars)
+        return self.as_dict()
+
+    def _vector(self) -> tuple[int, ...]:
+        """The values aligned with the regime's variables; one not given reads 0."""
+        d = self._checked()
+        return tuple(d.get(v, 0) for v in _SYSTEMS[self.regime][0])
 
     def rate_pair(self) -> tuple[int, int]:
         return _rate_pair(self.regime, self._vector())
+
+    @property
+    def feedback_levels(self) -> int:
+        """Feedback levels the scheme occupies per use: ``max(R1f, R2f) + Rbarf + Rbarf1 + Rbarf2``,
+        a variable the regime lacks read as 0 (the extent of its ``xf`` layout)."""
+        get = self._checked().get
+        return max(get("R1f", 0), get("R2f", 0)) + get("Rbarf", 0) + get("Rbarf1", 0) + get("Rbarf2", 0)
 
 
 def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
@@ -319,7 +330,7 @@ class Scheme:
     @property
     def feedback_levels(self) -> int:
         """Feedback levels occupied per use (the r_f of net-gain accounting)."""
-        return self.transmit["xf"].layout.occupied_extent()
+        return self.alloc.feedback_levels
 
     def n_uses(self, n_blocks: int) -> int:
         return n_blocks + self.delta

@@ -166,13 +166,26 @@ class TestNetGain:
         rows = list(csv.reader(io.StringIO(out)))
         assert [r[3] for r in rows[1:]] == ["-", "0", "0"]
 
-    def test_one_scheme_per_row_with_feedback(self, capsys, monkeypatch):
-        calls, build_scheme = [], cli.build_scheme
-        monkeypatch.setattr(cli, "build_scheme", lambda *args: calls.append(args) or build_scheme(*args))
+    def test_no_scheme_and_one_allocation_per_row_with_feedback(self, capsys, monkeypatch):
+        built, allocated, allocate = [], [], cli.allocate
+        monkeypatch.setattr(cli, "build_scheme", lambda *args: built.append(args))
+        monkeypatch.setattr(cli, "allocate", lambda *args: allocated.append(args) or allocate(*args))
         code, out, _ = run_cli(capsys, "netgain", "--nc", "6", "--ns", "3", "--nr", "1", "--nf-max", "4")
         assert code == 0
-        assert len(calls) == 4
+        assert built == [] and len(allocated) == 4
         assert out.splitlines()[2:] == ["1,4,1,2", "2,6,2,2", "3,6,2,2", "4,6,2,2"]
+
+    def test_sweep_net_gain_builds_no_scheme(self, capsys, monkeypatch):
+        def no_scheme(*args):
+            raise AssertionError("the sweep built a scheme")
+
+        monkeypatch.setattr(cli, "build_scheme", no_scheme)
+        code, out, _ = run_cli(capsys, "sweep", "--max", "3", "--oracle")
+        assert code == 0
+        golden = (GOLDEN / "sweep_max4_oracle.csv").read_text().splitlines()
+        # The golden's header and its rows of [0,3]^4, in lattice order.
+        expected = golden[:1] + [row for row in golden[1:] if "4" not in row.split(",")[:4]]
+        assert out.splitlines() == expected
 
     def test_negative_nf_max_is_usage_error(self, capsys):
         err = assert_usage_error(capsys, "netgain", "--nc", "2", "--ns", "1", "--nr", "3", "--nf-max", "-1")

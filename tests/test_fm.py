@@ -13,6 +13,7 @@ from ldbfn import (
     LinearIneq,
     Regime,
     SystemParseError,
+    applicable_regimes,
     constraint_system,
     enumerate_integer_projection,
     integer_points,
@@ -241,6 +242,18 @@ def random_system(rng):
     return IneqSystem(names, tuple(ineqs)), r1_def, r2_def
 
 
+def brute_force_projection(system, r1_def, r2_def, top):
+    """The (R1, R2) pairs of every point of [0, top]^n that meets all of ``system``'s inequalities."""
+    def value(d, point):
+        return sum(d.get(v, 0) * x for v, x in zip(system.vars, point))
+
+    return {
+        (value(r1_def, point), value(r2_def, point))
+        for point in product(range(top + 1), repeat=len(system.vars))
+        if all(value(q.coeffs, point) <= q.bound for q in system.ineqs)
+    }
+
+
 class TestHistoryPruning:
     def test_matches_unpruned_reference_on_random_systems(self):
         rng = random.Random(2026)
@@ -271,20 +284,37 @@ class TestEnumeration:
         assert pts == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_matches_brute_force_on_random_systems(self):
-        # Negative coefficients included, so the walk's pruning must stay exact.
-        rng = random.Random(5)
-        for _ in range(300):
-            system, r1_def, r2_def = random_system(rng)
+        # Negative coefficients included, so the walk's intervals must stay exact.
+        for bound in (None, 0, 3, 5):
+            rng = random.Random(5)
+            for _ in range(300):
+                system, r1_def, r2_def = random_system(rng)
+                # The default is the largest bound of a row divided by its gcd.
+                rows = fm._to_rows(system.vars, system.ineqs)
+                top = max([0] + [b for _, (b,) in rows]) if bound is None else bound
+                expected = brute_force_projection(system, r1_def, r2_def, top)
+                assert enumerate_integer_projection(system, r1_def, r2_def, bound=bound) == expected, (system, bound)
 
-            def value(d, point):
-                return sum(d.get(v, 0) * x for v, x in zip(system.vars, point))
+    def test_negative_bound_on_a_nonnegative_row_is_empty(self):
+        # x + y <= -1 caps both variables at -1, so not even the origin is left.
+        system = IneqSystem(("x", "y"), (ineq({"x": 1, "y": 1}, -1), ineq({"x": 1, "y": -1}, 2)))
+        assert enumerate_integer_projection(system, {"x": 1}, {"y": 1}) == set()
 
-            expected = {
-                (value(r1_def, point), value(r2_def, point))
-                for point in product(range(4), repeat=len(system.vars))
-                if all(value(q.coeffs, point) <= q.bound for q in system.ineqs)
-            }
-            assert enumerate_integer_projection(system, r1_def, r2_def, bound=3) == expected, system
+    def test_variables_without_inequalities(self):
+        system = IneqSystem(("x", "y"), ())
+        assert enumerate_integer_projection(system, {"x": 1}, {"y": 2}) == {(0, 0)}
+        assert enumerate_integer_projection(system, {"x": 1}, {"y": 2}, bound=2) == {
+            (x, 2 * y) for x in range(3) for y in range(3)
+        }
+
+    def test_regime_systems_match_brute_force(self):
+        for tup in product(range(3), repeat=4):
+            p = ChannelParams(*tup)
+            for regime in applicable_regimes(p):
+                system = constraint_system(regime, p)
+                top = max(q.bound for q in system.ineqs)
+                expected = brute_force_projection(system, *rate_definitions(regime), top)
+                assert enumerate_integer_projection(system, *rate_definitions(regime)) == expected, (tup, regime)
 
     def test_combination_budget_guard(self):
         system = IneqSystem(tuple(f"x{i}" for i in range(12)), ())

@@ -240,3 +240,8 @@ class TestParams:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ChannelParams(-1, 0, 0, 0)
+        # A bool is an int subclass, but True as a level count made q == True.
+        with pytest.raises(ValueError, match="^nc must be a non-negative integer, got True$"):
+            ChannelParams(True, 0, 0, 0)
+        with pytest.raises(ValueError, match="^nf must be"):
+            ChannelParams(1, 1, 1, False)

@@ -194,7 +194,7 @@ class TestBuildScheme:
         assert not report.errors
 
     @pytest.mark.parametrize("values, name", [
-        ({"Rc1": 1, "Rc3": 7}, "Rc3"), ({"Rc1": -1}, "Rc1"), ({"R1d": 0.5}, "R1d"),
+        ({"Rc1": 1, "Rc3": 7}, "Rc3"), ({"Rc1": -1}, "Rc1"), ({"R1d": 0.5}, "R1d"), ({"Rc1": True}, "Rc1"),
     ])
     def test_foreign_negative_or_fractional_allocation_value_rejected(self, values, name):
         alloc = RateAllocation.of(Regime.A, values)
@@ -202,6 +202,8 @@ class TestBuildScheme:
             build_scheme(ChannelParams(2, 1, 3, 0), alloc)
         with pytest.raises(ValueError, match=f"^{name} = "):
             alloc.rate_pair()
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            alloc.feedback_levels
 
     def test_builder_tx_xors_existing_streams_and_rejects_a_moved_slot(self):
         alloc = RateAllocation.of(Regime.A, {})
@@ -279,8 +281,10 @@ class TestBuildScheme:
         # in _SYSTEMS order and the digest the first 16 hex digits of the
         # sha256 of the sorted scheme JSON.  First the lexmin corners on
         # [0,4]^4, then every feasible allocation of every applicable regime
-        # on [0,3]^4; each of the latter also runs error-free at N=8.
+        # on [0,3]^4; each of the latter also runs error-free at N=8.  Every
+        # allocation's feedback levels are its scheme's xf extent.
         def line(p, alloc, scheme):
+            assert alloc.feedback_levels == scheme.transmit["xf"].layout.occupied_extent()
             text = json.dumps(scheme.to_jsonable(), sort_keys=True)
             return " ".join((
                 ",".join(map(str, (p.nc, p.ns, p.nr, p.nf))),
