@@ -1,7 +1,8 @@
+import hashlib
 import pickle
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -141,6 +142,27 @@ class TestCanonicalize:
         b = canonicalize(RateRegion(ray + (hs(0, -1, -2),)))
         assert a == b
         assert a.contains((1, 2)) and a.contains((5, 10)) and not a.contains((0, 0))
+
+    def test_small_row_sets_pinned(self):
+        # Every 1- and 2-row set with coefficients in -2..2 and bounds in -3..3 and every 3-row set
+        # with coefficients in -1..1 and bounds in -2..2: 25,844 sets, points, segments, half-lines,
+        # empty, bounded and unbounded regions among them.  Rows, walk-order vertices and rays are pinned.
+        def rows_over(coefficients, bounds):
+            return [(a1, a2, b) for a1, a2 in product(coefficients, repeat=2) if a1 or a2 for b in bounds]
+
+        small, tiny = rows_over(range(-2, 3), range(-3, 4)), rows_over(range(-1, 2), range(-2, 3))
+        corpus = [(row,) for row in small] + [*combinations_with_replacement(small, 2)]
+        corpus += combinations_with_replacement(tiny, 3)
+        assert len(corpus) == 25_844
+        digest = hashlib.sha256()
+        for rows in corpus:
+            try:
+                region = canonical_region(rows)
+            except RegionError:
+                digest.update(b"empty")
+                continue
+            digest.update(repr((region.rows, region.vertices, sorted(region.rays))).encode())
+        assert digest.hexdigest() == "badd2c25893e534c9df239fe131428cdb6cafa52510fae55605c75b6d9eec97b"
 
 
 class TestCorners:
