@@ -274,7 +274,7 @@ def enumerate_integer_projection(
     _check_defs(system, "r2_def", r2_def)
     rows = _to_rows(system.vars, system.ineqs)
     if bound is None:
-        bound = max([0] + [b for _, (b,) in rows])
+        bound = max([0] + [q.bound for q in system.ineqs])
     nv = len(system.vars)
 
     nonneg = [(coeffs, b) for coeffs, (b,) in rows if all(x >= 0 for x in coeffs)]

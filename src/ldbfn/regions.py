@@ -7,9 +7,11 @@ rows ``(a1, a2, b)``, from which it derives its vertices, projective integer
 triples ``(n1, n2, d)`` standing for ``(n1/d, n2/d)`` with ``d > 0``, and its
 recession rays once, when it is made.  So every comparison is an exact
 integer cross-multiplication and equality of polytopes is decided, never
-approximated.  ``fractions.Fraction`` appears only at the API: the
-:class:`Halfspace` fields (``RateRegion.halfspaces`` builds them when read),
-:class:`RatePoint`, :meth:`RateRegion.contains` and the JSON shapes.
+approximated.  :func:`canonicalize` keeps a full-dimensional region's
+facets and writes a point, segment or half-line as its capped line.
+``fractions.Fraction`` appears only at the API: the :class:`Halfspace`
+fields (``RateRegion.halfspaces`` builds them when read), :class:`RatePoint`,
+:meth:`RateRegion.contains` and the JSON shapes.
 
 The closed forms implemented here:
 
@@ -195,14 +197,6 @@ def _check_bounded(*regions: RateRegion) -> None:
         raise RegionError("corner enumeration needs a bounded region")
 
 
-def _implied(rows: list[Row], row: Row) -> bool:
-    """True when the rows (a non-empty region) plus the quadrant imply ``row``."""
-    a1, a2, b = row
-    if any(a1 * d1 + a2 * d2 > 0 for d1, d2 in _recession_rays(rows)):
-        return False
-    return all(a1 * n1 + a2 * n2 <= b * d for n1, n2, d in _vertex_triples(rows))
-
-
 def _scaled(verts) -> list[tuple[int, int, Vertex]]:
     """Each vertex triple as ``(r1, r2, triple)``, r1 and r2 over a common denominator, sorted by (r1, r2)."""
     m = lcm(*(d for _, _, d in verts))
@@ -214,50 +208,15 @@ def _walk_order(scaled: list[tuple[int, int, Vertex]]) -> tuple[Vertex, ...]:
     return tuple(t for _, _, t in sorted(scaled, key=lambda s: (s[2] != (0, 0, 1), s[0], -s[1])))
 
 
-def _cross_sign(o, a, b) -> int:
-    """Sign of the turn o -> a -> b for projective integer triples."""
-    o1, o2, od = o
-    a1, a2, ad = a
-    b1, b2, bd = b
-    # Scaled by the positive factor od^2 * ad * bd.
-    return (a1 * od - o1 * ad) * (b2 * od - o2 * bd) - (a2 * od - o2 * ad) * (b1 * od - o1 * bd)
-
-
-def _hull_ccw(pts: list[Vertex]) -> list[Vertex]:
-    """Andrew monotone chain; counter-clockwise, collinear points dropped.
-
-    Expects unique triples already sorted by (r1, r2).
-    """
-    if len(pts) <= 2:
-        return pts
-    lower: list[Vertex] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross_sign(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Vertex] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross_sign(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def _direction(p: Vertex, q: Vertex) -> tuple[int, int]:
     """A positive multiple of q - p."""
     return q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2]
 
 
-def _line_row(p: Vertex, d1: int, d2: int) -> Row:
-    """Row with the line through p along (d1, d2) on its boundary, left side feasible."""
-    p1, p2, pd = p
-    return (pd * d2, -pd * d1, d2 * p1 - d1 * p2)
-
-
 def _collinear_facets(p: Vertex, d1: int, d2: int, q: Vertex | None) -> set[Row]:
     """The line through p along (d1, d2), from both sides, capped at p and at q if given."""
     p1, p2, pd = p
-    a1, a2, b = _line_row(p, d1, d2)
+    a1, a2, b = pd * d2, -pd * d1, d2 * p1 - d1 * p2  # the line, its left side feasible
     out = [(a1, a2, b), (-a1, -a2, -b), (-pd * d1, -pd * d2, -(d1 * p1 + d2 * p2))]
     if q is not None:
         q1, q2, qd = q
@@ -265,38 +224,29 @@ def _collinear_facets(p: Vertex, d1: int, d2: int, q: Vertex | None) -> set[Row]
     return {_primitive(*r) for r in out if not _axis_implied(r)}
 
 
-def _facets_from_vertices(verts: list[Vertex]) -> set[Row]:
-    """Minimal row description of the convex hull of vertex triples sorted by (r1, r2).
-
-    Fully representation independent: two regions with the same point set
-    canonicalize to the identical halfspace tuple.
-    """
-    if len(verts) == 1:
-        ((p1, p2, d),) = verts
-        out = [(d, 0, p1), (-d, 0, -p1), (0, d, p2), (0, -d, -p2)]
-        return {_primitive(*r) for r in out if not _axis_implied(r)}
-    if len(verts) == 2:
-        p, q = verts
-        return _collinear_facets(p, *_direction(p, q), q)
-    ccw = _hull_ccw(verts)
-    edges = (_line_row(p, *_direction(p, q)) for p, q in zip(ccw, ccw[1:] + ccw[:1]))
-    return {_primitive(*r) for r in edges if not _axis_implied(r)}
-
-
 def canonicalize(region: RateRegion) -> RateRegion:
     """Remove every halfspace implied by the others plus non-negativity.
 
-    Bounded regions are rebuilt from their vertex set and half-lines from
-    their end point and direction, which makes the result a function of the
-    point set alone (idempotent, deterministic, sorted by (a1, a2, b)).
-    Other unbounded regions are full-dimensional and keep the irredundant
-    subset of the given halfspaces, their facets, which is unique as well.
+    A full-dimensional region keeps its facets, the rows whose lines meet it
+    in an edge; a point, segment or half-line becomes its line from both
+    sides, capped at its end points.  So the result depends on the point set
+    alone (idempotent, deterministic, sorted by (a1, a2, b)).
     """
     return canonical_region(region.rows)
 
 
 def canonical_region(rows: Iterable[Row]) -> RateRegion:
-    """:func:`canonicalize` of the region given by integer rows ``(a1, a2, b)``, each of any positive scale."""
+    """:func:`canonicalize` of the region given by integer rows ``(a1, a2, b)``, each of any positive scale.
+
+    Every feasible pairwise intersection of rows and axes is an extreme
+    point.  The region is pointed (it lies in the quadrant): with no ray and
+    at most two vertices it is a point or a segment, with one vertex and
+    collinear rays a half-line, and otherwise full-dimensional.  Then a row
+    is irredundant exactly when its line meets the region in an edge, two
+    vertices or one vertex and a ray (Schrijver, *Theory of Linear and
+    Integer Programming*, ch. 8).  A closed half-plane has one primitive row,
+    so the rows kept are those of the edges off the axes, as a hull gives.
+    """
     tightest: dict[tuple[int, int], int] = {}
     for row in rows:
         a1, a2, b = row = _primitive(*row)
@@ -309,23 +259,18 @@ def canonical_region(rows: Iterable[Row]) -> RateRegion:
         raise RegionError("region is empty")
     verts = _walk_order(scaled)
     rays = _recession_rays(rows)
-    if not rays:
-        return _region(tuple(sorted(_facets_from_vertices([t for _, _, t in scaled]))), verts, ())
-    d1, d2 = rays[0]
-    if len(verts) == 1 and all(e1 * d2 == e2 * d1 for e1, e2 in rays):
-        (p,) = verts
-        return _region(tuple(sorted(_collinear_facets(p, d1, d2, None))), verts)
-    # Unbounded: drop any row the remaining ones still imply.
-    kept = rows
-    changed = True
-    while changed:
-        changed = False
-        for row in list(kept):
-            rest = [x for x in kept if x != row]
-            if _implied(rest, row):
-                kept.remove(row)
-                changed = True
-    return _region(tuple(kept), verts)
+    if not rays and len(verts) <= 2:
+        p, q = scaled[0][2], scaled[-1][2]
+        d = _direction(p, q) if p != q else (1, 0)
+        return _region(tuple(sorted(_collinear_facets(p, *d, q))), verts, ())
+    if len(verts) == 1 and all(e1 * rays[0][1] == e2 * rays[0][0] for e1, e2 in rays):
+        return _region(tuple(sorted(_collinear_facets(verts[0], *rays[0], None))), verts)
+
+    def facet(a1: int, a2: int, b: int) -> bool:
+        on_line = sum(a1 * n1 + a2 * n2 == b * d for n1, n2, d in verts)
+        return on_line >= 2 or on_line == 1 and any(a1 * d1 + a2 * d2 == 0 for d1, d2 in rays)
+
+    return _region(tuple(row for row in rows if facet(*row)), verts, None if rays else ())
 
 
 def is_bounded(region: RateRegion) -> bool:

@@ -289,11 +289,17 @@ class TestEnumeration:
             rng = random.Random(5)
             for _ in range(300):
                 system, r1_def, r2_def = random_system(rng)
-                # The default is the largest bound of a row divided by its gcd.
-                rows = fm._to_rows(system.vars, system.ineqs)
-                top = max([0] + [b for _, (b,) in rows]) if bound is None else bound
+                # The default is the largest inequality bound as written, before any gcd division.
+                top = max([0] + [q.bound for q in system.ineqs]) if bound is None else bound
                 expected = brute_force_projection(system, r1_def, r2_def, top)
                 assert enumerate_integer_projection(system, r1_def, r2_def, bound=bound) == expected, (system, bound)
+
+    def test_default_bound_is_the_largest_bound_as_written(self):
+        # -2*z <= 6 caps nothing but sets the default bound to 6; divided by its gcd it would read 3.
+        system = IneqSystem(("x", "z"), (ineq({"x": 1}, 1), ineq({"z": -2}, 6)))
+        assert enumerate_integer_projection(system, {"z": 1}, {"x": 1}) == {
+            (z, x) for z in range(7) for x in range(2)
+        }
 
     def test_negative_bound_on_a_nonnegative_row_is_empty(self):
         # x + y <= -1 caps both variables at -1, so not even the origin is left.

@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -364,6 +365,10 @@ def assert_derived_from_rows(region):
     assert set(region.rays) == set(_recession_rays(region.rows)), region
 
 
+def primitive_rays(rows):
+    return {(d1 // gcd(d1, d2), d2 // gcd(d1, d2)) for d1, d2 in _recession_rays(rows)}
+
+
 rows_strategy = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-8, 12)).filter(lambda r: r[0] or r[1]),
     max_size=6,
@@ -386,6 +391,7 @@ class TestStoredForm:
     @given(rows_strategy)
     @example([(1, -1, 1), (-1, 1, -1)])  # the half-line R2 = R1 - 1 from (1, 0)
     @example([(-1, 1, 2), (1, -1, 3), (-1, -1, -1)])  # a strip, unbounded along (1, 1)
+    @example([(1, -1, 0), (-1, 0, -1)])  # dropping R1 - R2 <= 0 changes only the rays
     def test_any_row_set(self, rows):
         region = RateRegion(tuple(hs(*row) for row in rows))
         assert_derived_from_rows(region)
@@ -398,6 +404,15 @@ class TestStoredForm:
         assert canon.vertices == region.vertices
         assert bool(canon.rays) == bool(region.rays)
         assert canonicalize(region) == canon
+        rays = canon.rays
+        half_line = len(canon.vertices) == 1 and all(e1 * rays[0][1] == e2 * rays[0][0] for e1, e2 in rays)
+        if len(canon.vertices) <= 2 and not rays or half_line:
+            return
+        # Full-dimensional: every kept row is needed, so dropping it changes the vertices or the rays.
+        point_set = (set(canon.vertices), primitive_rays(canon.rows))
+        for row in canon.rows:
+            rest = [other for other in canon.rows if other != row]
+            assert (_vertex_triples(rest), primitive_rays(rest)) != point_set, (canon, row)
 
     def test_int_built_regions_equal_the_paper_halfspaces(self):
         for p in LATTICE_6:
