@@ -245,7 +245,7 @@ def canonical_region(rows: Iterable[Row]) -> RateRegion:
     is irredundant exactly when its line meets the region in an edge, two
     vertices or one vertex and a ray (Schrijver, *Theory of Linear and
     Integer Programming*, ch. 8).  A closed half-plane has one primitive row,
-    so the rows kept are those of the edges off the axes, as a hull gives.
+    so the rows kept are the primitive rows of the edges off the axes.
     """
     tightest: dict[tuple[int, int], int] = {}
     for row in rows:
@@ -270,6 +270,7 @@ def canonical_region(rows: Iterable[Row]) -> RateRegion:
         on_line = sum(a1 * n1 + a2 * n2 == b * d for n1, n2, d in verts)
         return on_line >= 2 or on_line == 1 and any(a1 * d1 + a2 * d2 == 0 for d1, d2 in rays)
 
+    # A dropped row may have added its direction to ``rays``, so an unbounded result derives its own.
     return _region(tuple(row for row in rows if facet(*row)), verts, None if rays else ())
 
 
