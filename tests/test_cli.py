@@ -298,9 +298,14 @@ class TestGoldenOutputs:
         assert out.encode() == (GOLDEN / f"region_nc{nc}_ns{ns}_nr{nr}_nf{nf}.stdout").read_bytes()
 
     def test_netgain_matches_golden(self, capsys):
-        code, out, _ = run_cli(capsys, "netgain", "--nc", "6", "--ns", "3", "--nr", "1", "--nf-max", "4")
-        assert code == 0
-        assert out.encode() == (GOLDEN / "netgain_nc6_ns3_nr1_nfmax4.stdout").read_bytes()
+        # (2,2,1) spends feedback for no gain, so r_f is computed where eta is 0;
+        # (3,3,1) gains 1 at every nf, so eta falls as r_f grows.
+        for nc, ns, nr, nf_max in ((6, 3, 1, 4), (2, 2, 1, 3), (3, 3, 1, 3)):
+            code, out, _ = run_cli(
+                capsys, "netgain", "--nc", str(nc), "--ns", str(ns), "--nr", str(nr), "--nf-max", str(nf_max),
+            )
+            assert code == 0
+            assert out.encode() == (GOLDEN / f"netgain_nc{nc}_ns{ns}_nr{nr}_nfmax{nf_max}.stdout").read_bytes()
 
     @pytest.mark.parametrize("regime", sorted(SIMULATE_GOLDEN_CASES))
     def test_simulate_matches_golden(self, capsys, tmp_path, regime):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +29,8 @@ from ldbfn import (
 )
 from ldbfn import simulator
 from ldbfn.schemes import Binding, Subtract
+
+ERROR_DETAIL_GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden" / "dropped_subtract_error_detail.json"
 
 
 def scheme_for(params, corner):
@@ -99,6 +102,15 @@ class TestNegativeControls:
         trace, report = run(dataclasses.replace(scheme, decode_plans=plans), n_blocks=8, seed=1)
         assert len(report.errors) == 15
         assert trace.dump().count(" FAIL\n") == 15
+        assert report.to_jsonable()["error_detail"] == json.loads(ERROR_DETAIL_GOLDEN.read_text())
+
+    def test_undecoded_blocks_are_reported_with_use_zero(self):
+        scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
+        _, report = run(dataclasses.replace(scheme, decode_plans={**scheme.decode_plans, 3: ()}), n_blocks=4, seed=1)
+        assert report.to_jsonable()["error_detail"] == [
+            {"use": 0, "node": 3, "stream": "nb1", "block": block} for block in range(1, 5)
+        ]
+        assert report.delivered_bits == (0, 8)
 
     def test_encoder_needing_an_unstored_block_raises(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
