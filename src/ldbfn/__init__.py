@@ -22,7 +22,6 @@ from .regions import (
     corner_points,
     integer_points,
     achievable_region,
-    net_gain,
     outer_bound_region,
     region_contains,
     region_to_jsonable,
@@ -48,6 +47,9 @@ from .schemes import (
     allocate,
     build_scheme,
     constraint_system,
+    feedback_usage,
+    integer_corners,
+    net_gain,
     rate_definitions,
 )
 from .simulator import (
@@ -56,7 +58,6 @@ from .simulator import (
     Trace,
     XorShift64Star,
     generate_messages,
-    integer_corners,
     parse_trace,
     run,
     validate_trace,

@@ -11,7 +11,6 @@ import csv
 import json
 import sys
 from contextlib import ExitStack, nullcontext
-from fractions import Fraction
 from itertools import product
 
 from .fm import (
@@ -29,15 +28,15 @@ from .regions import (
     integer_points,
     is_bounded,
     achievable_region,
-    net_gain,
     outer_bound_region,
     region_to_jsonable,
     regime_of,
     regions_equal,
     sum_capacity,
 )
-from .schemes import InfeasibleTargetError, allocate, build_scheme, constraint_system, projected_region, rate_definitions
-from .simulator import run, integer_corners, parallel_map
+from .schemes import (InfeasibleTargetError, allocate, build_scheme, constraint_system, feedback_usage, net_gain,
+                      projected_region, rate_definitions)
+from .simulator import run, parallel_map
 
 SWEEP_COLUMNS = ["nc", "ns", "nr", "nf", "regime", "sum_capacity", "net_gain", "thm2_equal", "corners"]
 
@@ -79,26 +78,6 @@ def _add_params(parser: argparse.ArgumentParser, with_nf: bool = True) -> None:
 def _corners_str(p: ChannelParams) -> str:
     pts = corner_points(outer_bound_region(p))
     return ";".join(f"({frac_to_json(c.r1)},{frac_to_json(c.r2)})" for c in pts)
-
-
-def _max_sum_corner(p: ChannelParams) -> tuple[int, int]:
-    corners = integer_corners(p)
-    best_sum = max(r1 + r2 for r1, r2 in corners)
-    return max(c for c in corners if c[0] + c[1] == best_sum)
-
-
-def _feedback_usage(p: ChannelParams) -> int:
-    """Feedback levels per use consumed at the sum-capacity corner."""
-    corner = _max_sum_corner(p)
-    return allocate(p, corner).feedback_levels
-
-
-def _net_gain_value(p: ChannelParams, r_f: int | None = None) -> Fraction:
-    """Net gain at ``p``'s feedback strength per ``r_f`` levels (default ``_feedback_usage(p)``); 0 if none."""
-    gain = net_gain(p, p.nf, 1)
-    if gain == 0:
-        return gain
-    return gain / (_feedback_usage(p) if r_f is None else r_f)
 
 
 def cmd_region(args) -> int:
@@ -150,7 +129,7 @@ def _sweep_row(job: tuple[tuple[int, int, int, int], bool]) -> dict:
         "nc": nc, "ns": ns, "nr": nr, "nf": nf,
         "regime": regime.value,
         "sum_capacity": frac_to_json(sum_capacity(outer)),
-        "net_gain": frac_to_json(_net_gain_value(p)),
+        "net_gain": frac_to_json(net_gain(p)),
         "thm2_equal": equal,
         "corners": _corners_str(p),
     }
@@ -192,8 +171,8 @@ def cmd_netgain(args) -> int:
         if nf == 0:  # no feedback spent, the ratio is undefined
             writer.writerow([nf, frac_to_json(cap), 0, "-"])
             continue
-        r_f = _feedback_usage(p)
-        writer.writerow([nf, frac_to_json(cap), r_f, frac_to_json(_net_gain_value(p, r_f))])
+        r_f = feedback_usage(p)
+        writer.writerow([nf, frac_to_json(cap), r_f, frac_to_json(net_gain(p, r_f))])
     return 0
 
 

@@ -394,21 +394,6 @@ def achievable_region(p: ChannelParams, regime: Regime | None = None) -> RateReg
     return canonical_region([(1, 0, cap), (0, 1, cap), *((1, 1, t) for t in totals)])
 
 
-def net_gain(p: ChannelParams, nf: int, r_f: Fraction | int) -> Fraction:
-    """Sum-capacity increase of feedback strength ``nf`` per feedback bit spent.
-
-    r_f is the number of feedback levels actually used per channel use by
-    the scheme that achieves the sum capacity; a ratio above 1 means the
-    feedback pays for itself.
-    """
-    r_f = Fraction(r_f)
-    if r_f <= 0:
-        raise ValueError("r_f must be positive")
-    with_fb = sum_capacity(outer_bound_region(p.with_nf(nf)))
-    without = sum_capacity(outer_bound_region(p.with_nf(0)))
-    return (with_fb - without) / r_f
-
-
 def frac_to_json(x: Fraction) -> int | str:
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 

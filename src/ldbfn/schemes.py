@@ -46,12 +46,14 @@ otherwise a ceiling overshot its interval, and SchemeError names the variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 from typing import Mapping, NamedTuple
 
 from .fm import EmptyIntervalError, IneqSystem, LinearIneq, evaluate_projection, integer_lexmin, lexmin_chain, with_rates
 from .gf2 import ChannelParams, SignalLayout, Slot
-from .regions import RateRegion, Regime, applicable_regimes, achievable_region, hs, regime_of
+from .regions import (RateRegion, Regime, applicable_regimes, achievable_region, corner_vertices, hs,
+                      outer_bound_region, regime_of, sum_capacity)
 
 
 class SchemeError(RuntimeError):
@@ -247,6 +249,37 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
     except EmptyIntervalError as e:
         raise SchemeError(f"{e}: no integer allocation reaches {target} for {p} (regime {regime.value})") from None
     return RateAllocation.of(regime, dict(zip(ALLOC_ORDER[regime], values)))
+
+
+def integer_corners(p: ChannelParams) -> list[tuple[int, int]]:
+    """Corner points of the capacity region; always integral for this model."""
+    corners = corner_vertices(achievable_region(p))
+    if any(d != 1 for _, _, d in corners):
+        raise SchemeError(f"non-integer corner among {corners} for {p}")
+    return [(n1, n2) for n1, n2, _ in corners]
+
+
+def feedback_usage(p: ChannelParams) -> int:
+    """Feedback levels per use of the allocation of the sum-capacity corner with the largest R1."""
+    corners = integer_corners(p)
+    return allocate(p, max(corners, key=lambda c: (c[0] + c[1], c))).feedback_levels
+
+
+def net_gain(p: ChannelParams, r_f: int | None = None) -> Fraction:
+    """Net feedback gain: the sum capacity ``p``'s feedback adds, per feedback level spent.
+
+    0 when feedback adds nothing, without allocating; otherwise the increase
+    over ``nf = 0`` divided by ``r_f``, by default :func:`feedback_usage`.
+    A ratio above 1 means the feedback pays for itself.
+    """
+    gain = sum_capacity(outer_bound_region(p)) - sum_capacity(outer_bound_region(p.with_nf(0)))
+    if gain == 0:
+        return gain
+    if r_f is None:
+        r_f = feedback_usage(p)
+    elif r_f <= 0:
+        raise ValueError("r_f must be positive")
+    return gain / r_f
 
 
 # ---------------------------------------------------------------------------

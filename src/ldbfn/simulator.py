@@ -33,7 +33,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .gf2 import BitVector, ChannelParams, NetworkInputs, NetworkOutputs, channel_step, channel_words
-from .regions import Regime, corner_vertices, frac_to_json, achievable_region
+from .regions import Regime, frac_to_json
 from .schemes import (
     Read,
     Scheme,
@@ -41,6 +41,7 @@ from .schemes import (
     Subtract,
     allocate,
     build_scheme,
+    integer_corners,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -434,14 +435,6 @@ class SweepSummary:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def integer_corners(p: ChannelParams) -> list[tuple[int, int]]:
-    """Corner points of the capacity region; always integral for this model."""
-    corners = corner_vertices(achievable_region(p))
-    if any(d != 1 for _, _, d in corners):
-        raise SchemeError(f"non-integer corner among {corners} for {p}")
-    return [(n1, n2) for n1, n2, _ in corners]
 
 
 def _verify_corners(p, corners, n_blocks, seed) -> list[SweepFailure]:

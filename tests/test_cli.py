@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ldbfn import cli
+from ldbfn import cli, schemes
 from ldbfn.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -167,9 +167,9 @@ class TestNetGain:
         assert [r[3] for r in rows[1:]] == ["-", "0", "0"]
 
     def test_no_scheme_and_one_allocation_per_row_with_feedback(self, capsys, monkeypatch):
-        built, allocated, allocate = [], [], cli.allocate
-        monkeypatch.setattr(cli, "build_scheme", lambda *args: built.append(args))
-        monkeypatch.setattr(cli, "allocate", lambda *args: allocated.append(args) or allocate(*args))
+        built, allocated, allocate = [], [], schemes.allocate
+        monkeypatch.setattr(schemes, "build_scheme", lambda *args: built.append(args))
+        monkeypatch.setattr(schemes, "allocate", lambda *args: allocated.append(args) or allocate(*args))
         code, out, _ = run_cli(capsys, "netgain", "--nc", "6", "--ns", "3", "--nr", "1", "--nf-max", "4")
         assert code == 0
         assert built == [] and len(allocated) == 4
@@ -179,13 +179,18 @@ class TestNetGain:
         def no_scheme(*args):
             raise AssertionError("the sweep built a scheme")
 
-        monkeypatch.setattr(cli, "build_scheme", no_scheme)
+        allocated, allocate = [], schemes.allocate
+        monkeypatch.delenv("LDBFN_THREADS", raising=False)
+        monkeypatch.setattr(schemes, "build_scheme", no_scheme)
+        monkeypatch.setattr(schemes, "allocate", lambda *args: allocated.append(args) or allocate(*args))
         code, out, _ = run_cli(capsys, "sweep", "--max", "3", "--oracle")
         assert code == 0
         golden = (GOLDEN / "sweep_max4_oracle.csv").read_text().splitlines()
         # The golden's header and its rows of [0,3]^4, in lattice order.
         expected = golden[:1] + [row for row in golden[1:] if "4" not in row.split(",")[:4]]
         assert out.splitlines() == expected
+        # One allocation per row with a gain, none where feedback adds nothing.
+        assert len(allocated) == sum(row.split(",")[6] != "0" for row in expected[1:])
 
     def test_negative_nf_max_is_usage_error(self, capsys):
         err = assert_usage_error(capsys, "netgain", "--nc", "2", "--ns", "1", "--nr", "3", "--nf-max", "-1")

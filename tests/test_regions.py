@@ -299,19 +299,19 @@ class TestSumCapacityAndNetGain:
         assert sum_capacity(outer_bound_region(ChannelParams(0, 0, 0, 0))) == 0
 
     def test_net_gain_is_two(self):
-        assert net_gain(ChannelParams(6, 3, 1, 0), 1, 1) == 2
+        assert net_gain(ChannelParams(6, 3, 1, 1), 1) == 2
 
     def test_no_gain_when_relay_link_strong(self):
         p = ChannelParams(2, 1, 3, 0)
         for nf in range(4):
-            assert net_gain(p, nf, 1) == 0
+            assert net_gain(p.with_nf(nf), 1) == 0
 
     def test_zero_feedback_spend_rejected(self):
         with pytest.raises(ValueError):
-            net_gain(ChannelParams(6, 3, 1, 0), 1, 0)
+            net_gain(ChannelParams(6, 3, 1, 1), 0)
 
     def test_same_nf_gains_nothing(self):
-        assert net_gain(ChannelParams(6, 3, 1, 0), 0, 1) == 0
+        assert net_gain(ChannelParams(6, 3, 1, 0), 1) == 0
 
 
 class TestJson:
