@@ -94,14 +94,6 @@ class DecodeEvent(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DecodeError:
-    use: int
-    node: int
-    stream: str
-    block: int
-
-
-@dataclass(frozen=True)
 class TraceStep:
     use: int
     inputs: NetworkInputs
@@ -208,13 +200,16 @@ def validate_trace(text: str) -> bool:
 
 @dataclass(frozen=True)
 class RunReport:
+    """What a run delivered.  ``errors`` holds the failing decodes in decode order, then a
+    ``DecodeEvent(0, dest, stream, block, False)`` per block a destination never decoded."""
+
     params: ChannelParams
     regime: Regime
     target: tuple[int, int]
     n_blocks: int
     delta: int
     n_uses: int
-    errors: tuple[DecodeError, ...]
+    errors: tuple[DecodeEvent, ...]
     delivered_bits: tuple[int, int]
     achieved: tuple[Fraction, Fraction]
     feedback_levels: int
@@ -318,7 +313,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
     signals = _compile_transmit(scheme, stores, q)
     plans = [_compile_decode(scheme, node, stores[node], zeros, q) for node in range(5)]
 
-    errors: list[DecodeError] = []
+    errors: list[DecodeEvent] = []
     decodes: list[tuple] = []
 
     def known(blocks: list, stream: str, idx: int, node: int, t: int) -> int:
@@ -354,7 +349,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
             ok = blocks[idx] == truth[stream][idx]
             decodes.append((t, node, stream, idx, ok))
             if not ok:
-                errors.append(DecodeError(t, node, stream, idx))
+                errors.append(DecodeEvent(t, node, stream, idx, False))
 
     # (node, index of its received word in a use's words); a node without a plan is skipped
     forward = [(node, col) for node, col in ((0, 4), (1, 5), (2, 5)) if plans[node]]
@@ -392,7 +387,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
             got, want = stores[dest][stream], truth[stream]
             for i in range(1, n_blocks + 1):
                 if got[i] is None:
-                    errors.append(DecodeError(0, dest, stream, i))
+                    errors.append(DecodeEvent(0, dest, stream, i, False))
                 elif got[i] == want[i]:
                     delivered[j] += scheme.stream_lengths[stream]
 
@@ -423,7 +418,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
 class SweepFailure:
     params: ChannelParams
     corner: tuple[int, int]
-    errors: tuple[DecodeError, ...]
+    errors: tuple[DecodeEvent, ...]
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,7 @@ class TestNegativeControls:
         assert len(report.errors) == 15
         assert trace.dump().count(" FAIL\n") == 15
         assert report.to_jsonable()["error_detail"] == json.loads(ERROR_DETAIL_GOLDEN.read_text())
+        assert report.errors == tuple(e for e in trace.events if not e.ok)
 
     def test_undecoded_blocks_are_reported_with_use_zero(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
@@ -111,6 +112,7 @@ class TestNegativeControls:
             {"use": 0, "node": 3, "stream": "nb1", "block": block} for block in range(1, 5)
         ]
         assert report.delivered_bits == (0, 8)
+        assert report.errors == tuple(simulator.DecodeEvent(0, 3, "nb1", block, False) for block in range(1, 5))
 
     def test_encoder_needing_an_unstored_block_raises(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
