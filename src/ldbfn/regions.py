@@ -178,13 +178,14 @@ def _recession_rays(rows: Iterable[Row]) -> list[tuple[int, int]]:
 
     In 2-D each extreme ray of the recession cone is an axis direction or lies
     along some constraint's boundary, so the candidates found in the cone
-    include both extreme rays.
+    include both extreme rays.  Each is primitive, so no direction appears twice.
     """
     rows = [*rows, (-1, 0, 0), (0, -1, 0)]
     candidates = {(1, 0), (0, 1)}
     for a1, a2, _ in rows:
-        for d in ((a2, -a1), (-a2, a1)):
-            if d[0] >= 0 and d[1] >= 0 and (d[0] > 0 or d[1] > 0):
+        g = gcd(a1, a2)
+        for d in ((a2 // g, -a1 // g), (-a2 // g, a1 // g)):
+            if d[0] >= 0 and d[1] >= 0:
                 candidates.add(d)
     return [d for d in candidates if all(a1 * d[0] + a2 * d[1] <= 0 for a1, a2, _ in rows)]
 
@@ -247,13 +248,16 @@ def canonical_region(rows: Iterable[Row]) -> RateRegion:
     Integer Programming*, ch. 8).  A closed half-plane has one primitive row,
     so the rows kept are the primitive rows of the edges off the axes.
     """
-    tightest: dict[tuple[int, int], int] = {}
+    tightest: dict[tuple[int, int], Row] = {}  # per reduced normal, the row of least b / gcd(a1, a2)
     for row in rows:
         a1, a2, b = row = _primitive(*row)
         if _axis_implied(row):
             continue
-        tightest[a1, a2] = min(b, tightest.get((a1, a2), b))
-    rows = sorted((a1, a2, b) for (a1, a2), b in tightest.items())
+        g = gcd(a1, a2)
+        kept = tightest.setdefault((a1 // g, a2 // g), row)
+        if b * gcd(kept[0], kept[1]) < kept[2] * g:
+            tightest[a1 // g, a2 // g] = row
+    rows = sorted(tightest.values())
     scaled = _scaled(_vertex_triples(rows))
     if not scaled:
         raise RegionError("region is empty")

@@ -24,6 +24,7 @@ from ldbfn import (
     regions_equal,
     sum_capacity,
 )
+from ldbfn import regions
 from ldbfn.regions import RegionError, _recession_rays, _vertex_triples, canonical_region, hs
 from ldbfn.schemes import projected_region
 
@@ -103,6 +104,15 @@ class TestCanonicalize:
         region = canonicalize(RateRegion((hs(1, 0, 1), hs(1, 0, 2))))
         assert region.halfspaces == (hs(1, 0, 1),)
 
+    def test_rays_primitive_and_rows_tightest_per_reduced_normal(self, monkeypatch):
+        # R1 >= 3/2 has the boundary direction (0, 2), which is the axis direction (0, 1).
+        assert sorted(RateRegion((hs(-2, 0, -3),)).rays) == [(0, 1), (1, 0)]
+        # R1 >= 3/2 and R1 >= 3 share the half-plane normal (-1, 0): only R1 >= 3 reaches the vertex search.
+        seen, vertex_triples = [], regions._vertex_triples
+        monkeypatch.setattr(regions, "_vertex_triples", lambda rows: seen.append(rows) or vertex_triples(rows))
+        assert canonical_region([(-2, 0, -3), (-1, 0, -3)]).rows == ((-1, 0, -3),)
+        assert seen == [[(-1, 0, -3)]]
+
     def test_slack_sum_bound_removed(self):
         region = canonicalize(RateRegion((hs(1, 0, 2), hs(0, 1, 2), hs(1, 1, 5))))
         assert halfspace_set(region) == {(1, 0, 2), (0, 1, 2)}
@@ -163,7 +173,7 @@ class TestCanonicalize:
                 digest.update(b"empty")
                 continue
             digest.update(repr((region.rows, region.vertices, sorted(region.rays))).encode())
-        assert digest.hexdigest() == "badd2c25893e534c9df239fe131428cdb6cafa52510fae55605c75b6d9eec97b"
+        assert digest.hexdigest() == "78f2f265ad81309de31cf324454858225728290ecee36354788966aec3c42b52"
 
 
 class TestCorners:
