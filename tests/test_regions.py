@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
@@ -99,6 +100,21 @@ class TestAchievableRegions:
                         assert regions_equal(achievable_region(p), outer_bound_region(p)), p
 
 
+def small_row_sets():
+    """Every 1- and 2-row set with coefficients in -2..2 and bounds in -3..3 and every 3-row set
+    with coefficients in -1..1 and bounds in -2..2: 25,844 sets, points, segments, half-lines,
+    empty, bounded and unbounded regions among them."""
+
+    def rows_over(coefficients, bounds):
+        return [(a1, a2, b) for a1, a2 in product(coefficients, repeat=2) if a1 or a2 for b in bounds]
+
+    small, tiny = rows_over(range(-2, 3), range(-3, 4)), rows_over(range(-1, 2), range(-2, 3))
+    corpus = [(row,) for row in small] + [*combinations_with_replacement(small, 2)]
+    corpus += combinations_with_replacement(tiny, 3)
+    assert len(corpus) == 25_844
+    return corpus
+
+
 class TestCanonicalize:
     def test_domination(self):
         region = canonicalize(RateRegion((hs(1, 0, 1), hs(1, 0, 2))))
@@ -155,18 +171,9 @@ class TestCanonicalize:
         assert a.contains((1, 2)) and a.contains((5, 10)) and not a.contains((0, 0))
 
     def test_small_row_sets_pinned(self):
-        # Every 1- and 2-row set with coefficients in -2..2 and bounds in -3..3 and every 3-row set
-        # with coefficients in -1..1 and bounds in -2..2: 25,844 sets, points, segments, half-lines,
-        # empty, bounded and unbounded regions among them.  Rows, walk-order vertices and rays are pinned.
-        def rows_over(coefficients, bounds):
-            return [(a1, a2, b) for a1, a2 in product(coefficients, repeat=2) if a1 or a2 for b in bounds]
-
-        small, tiny = rows_over(range(-2, 3), range(-3, 4)), rows_over(range(-1, 2), range(-2, 3))
-        corpus = [(row,) for row in small] + [*combinations_with_replacement(small, 2)]
-        corpus += combinations_with_replacement(tiny, 3)
-        assert len(corpus) == 25_844
+        # Rows, walk-order vertices and rays of every set of ``small_row_sets``.
         digest = hashlib.sha256()
-        for rows in corpus:
+        for rows in small_row_sets():
             try:
                 region = canonical_region(rows)
             except RegionError:
@@ -292,6 +299,27 @@ class TestIntegerCoreAgainstFractionReferences:
             region = _random_bounded(rng)
             scan = {(r1, r2) for r1 in range(8) for r2 in range(8) if region.contains((r1, r2))}
             assert integer_points(region) == scan, region
+
+    def test_integer_points_match_the_box_scan_on_small_row_sets(self):
+        for rows in small_row_sets():
+            region = RateRegion(tuple(hs(*row) for row in rows))
+            if not region.vertices or region.rays:
+                continue
+            m1 = max(n1 // d for n1, _, d in region.vertices)
+            m2 = max(n2 // d for _, n2, d in region.vertices)
+            scan = {
+                (r1, r2) for r1 in range(m1 + 1) for r2 in range(m2 + 1)
+                if all(a1 * r1 + a2 * r2 <= b for a1, a2, b in region.rows)
+            }
+            assert integer_points(region) == scan, rows
+
+    def test_integer_points_of_a_long_segment(self):
+        # R1 = R2 <= 10**5: a box scan would test 10**10 pairs.
+        region = canonical_region([(1, -1, 0), (-1, 1, 0), (1, 0, 10**5)])
+        t0 = time.perf_counter()
+        points = integer_points(region)
+        assert time.perf_counter() - t0 < 2.0
+        assert len(points) == 100_001 and points == {(k, k) for k in range(100_001)}
 
     def test_canonicalize_idempotent(self):
         rng = random.Random(7)
