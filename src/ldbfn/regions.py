@@ -315,24 +315,20 @@ def region_contains(outer: RateRegion, inner: RateRegion) -> bool:
 
 
 def integer_points(region: RateRegion) -> set[tuple[int, int]]:
-    """All integer rate pairs inside the (bounded) region.
-
-    At each integer R1 the rows leave one interval of R2, so the cost grows
-    with the points and the R1 range, not with the bounding box.
-    """
+    """All integer rate pairs inside the (bounded) region: the rows leave one interval of R2 at
+    each integer R1, so the cost grows with the points and the R1 range, not the bounding box."""
     _check_bounded(region)
     m1 = max(n1 // d for n1, _, d in region.vertices)
     m2 = max(n2 // d for _, n2, d in region.vertices)
     points = set()
     for r1 in range(m1 + 1):
         lo, hi = 0, m2
-        for a1, a2, b in region.rows:
-            rest = b - a1 * r1  # a2 * R2 <= rest
+        for a1, a2, b in region.rows:  # a2 * R2 <= b - a1 * r1
             if a2 > 0:
-                hi = min(hi, rest // a2)
+                hi = min(hi, (b - a1 * r1) // a2)
             elif a2 < 0:
-                lo = max(lo, -(rest // -a2))
-            elif rest < 0:
+                lo = max(lo, -((b - a1 * r1) // -a2))
+            elif a1 * r1 > b:
                 hi = -1
         points.update((r1, r2) for r2 in range(lo, hi + 1))
     return points

@@ -261,8 +261,7 @@ def integer_corners(p: ChannelParams) -> list[tuple[int, int]]:
 
 def feedback_usage(p: ChannelParams) -> int:
     """Feedback levels per use of the allocation of the sum-capacity corner with the largest R1."""
-    corners = integer_corners(p)
-    return allocate(p, max(corners, key=lambda c: (c[0] + c[1], c))).feedback_levels
+    return allocate(p, max(integer_corners(p), key=lambda c: (c[0] + c[1], c))).feedback_levels
 
 
 def net_gain(p: ChannelParams, r_f: int | None = None) -> Fraction:

@@ -313,7 +313,6 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
     signals = _compile_transmit(scheme, stores, q)
     plans = [_compile_decode(scheme, node, stores[node], zeros, q) for node in range(5)]
 
-    errors: list[DecodeEvent] = []
     decodes: list[tuple] = []
 
     def known(blocks: list, stream: str, idx: int, node: int, t: int) -> int:
@@ -346,10 +345,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
                 decoded[(target, idx)] = blocks
                 blocks[idx] = mixed >> cut
         for (stream, idx), blocks in decoded.items():
-            ok = blocks[idx] == truth[stream][idx]
-            decodes.append((t, node, stream, idx, ok))
-            if not ok:
-                errors.append(DecodeEvent(t, node, stream, idx, False))
+            decodes.append((t, node, stream, idx, blocks[idx] == truth[stream][idx]))
 
     # (node, index of its received word in a use's words); a node without a plan is skipped
     forward = [(node, col) for node, col in ((0, 4), (1, 5), (2, 5)) if plans[node]]
@@ -381,6 +377,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
         for node, col in backward:
             decode(node, t, ws[col])
 
+    errors = [DecodeEvent._make(d) for d in decodes if not d[4]]
     delivered = [0, 0]
     for dest, j in ((3, 0), (4, 1)):
         for stream in scheme.delivered[dest]:
