@@ -253,7 +253,7 @@ def canonical_region(rows: Iterable[Row]) -> RateRegion:
         a1, a2, b = row = _primitive(*row)
         if _axis_implied(row):
             continue
-        g = gcd(a1, a2)
+        g = gcd(a1, a2) or 1  # a zero normal (then b < 0) keys (0, 0) and empties the region
         kept = tightest.setdefault((a1 // g, a2 // g), row)
         if b * gcd(kept[0], kept[1]) < kept[2] * g:
             tightest[a1 // g, a2 // g] = row

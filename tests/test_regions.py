@@ -128,6 +128,8 @@ class TestCanonicalize:
         monkeypatch.setattr(regions, "_vertex_triples", lambda rows: seen.append(rows) or vertex_triples(rows))
         assert canonical_region([(-2, 0, -3), (-1, 0, -3)]).rows == ((-1, 0, -3),)
         assert seen == [[(-1, 0, -3)]]
+        with pytest.raises(RegionError, match="empty"):  # 0*R1 + 0*R2 <= -1
+            canonical_region([(0, 0, -1), (1, 0, 2)])
 
     def test_slack_sum_bound_removed(self):
         region = canonicalize(RateRegion((hs(1, 0, 2), hs(0, 1, 2), hs(1, 1, 5))))
