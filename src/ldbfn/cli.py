@@ -34,8 +34,8 @@ from .regions import (
     regions_equal,
     sum_capacity,
 )
-from .schemes import (InfeasibleTargetError, allocate, build_scheme, constraint_system, feedback_usage, net_gain,
-                      projected_region, rate_definitions)
+from .schemes import (InfeasibleTargetError, allocate, build_scheme, enumerated_points, feedback_usage, net_gain,
+                      projected_region)
 from .simulator import run, parallel_map
 
 SWEEP_COLUMNS = ["nc", "ns", "nr", "nf", "regime", "sum_capacity", "net_gain", "thm2_equal", "corners"]
@@ -135,7 +135,7 @@ def _sweep_row(job: tuple[tuple[int, int, int, int], bool]) -> dict:
     }
     if with_oracle:
         projected = projected_region(regime, p)
-        oracle = enumerate_integer_projection(constraint_system(regime, p), *rate_definitions(regime))
+        oracle = enumerated_points(regime, p)
         row["fm_oracle_equal"] = oracle == integer_points(projected) and regions_equal(projected, outer)
     return row
 

@@ -1,7 +1,10 @@
 """Exact Fourier-Motzkin elimination over named non-negative rate variables.
 
 A system is a list of inequalities ``sum coeff*var <= bound`` over declared
-variables, each implicitly >= 0.  Eliminating a variable pairs every
+variables, each implicitly >= 0.  Internal code passes them only as integer
+rows ``(coeffs, form)`` aligned to a variable tuple, and R1, R2 as coefficient
+rows; an :class:`IneqSystem` and the rate definitions taken at the API become
+rows once, in :func:`_as_rows`.  Eliminating a variable pairs every
 inequality with a positive coefficient on it against every one with a
 negative coefficient (the implicit ``-var <= 0`` counts as negative), which
 projects the polyhedron exactly.  Coefficients and bounds are integral by
@@ -28,8 +31,8 @@ other pruning happens between steps, since dropping a dominated row could
 break that argument; the final 2-D :func:`canonical_region` removes what is
 left over.
 
-A brute-force companion, :func:`enumerate_integer_projection`, walks every
-non-negative integer assignment and records the achieved rate pairs.  It is
+A brute-force companion, :func:`enumerate_rows`, walks every non-negative
+integer assignment and records the achieved rate pairs.  It is
 intentionally independent of the elimination path and serves as its oracle.
 """
 
@@ -44,8 +47,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .regions import RateRegion, canonical_region
 
 Form = tuple[int, ...]  # a bound's coefficients over the parameters
-# A row is (coeffs, bound form) with integer coeffs aligned to a var tuple.
-Row = tuple[tuple[int, ...], Form]
+Row = tuple[tuple[int, ...], Form]  # the one inequality form internal code passes
 # During elimination a row also carries its history: a bitmask of the
 # original rows it is a non-negative combination of.
 HistRow = tuple[tuple[int, ...], Form, int]
@@ -172,20 +174,21 @@ def _eliminate(rows: list[Row], count: int, conditions: set[Form]) -> list[list[
     return stages
 
 
-def _check_defs(system: IneqSystem, name: str, d: Mapping[str, int]) -> None:
-    for v, c in d.items():
-        if v not in system.vars:
-            raise ValueError(f"{name} references undeclared var {v!r}")
-        if not isinstance(c, int) or c < 0:
-            raise ValueError(f"{name} coefficient on {v!r} must be a non-negative integer")
+def _as_rows(system: IneqSystem, r1_def: Mapping[str, int], r2_def: Mapping[str, int]) -> tuple:
+    """The system's rows and its R1, R2 definitions as coefficient rows, all aligned to ``system.vars``."""
+    for name, d in (("r1_def", r1_def), ("r2_def", r2_def)):
+        for v, c in d.items():
+            if v not in system.vars:
+                raise ValueError(f"{name} references undeclared var {v!r}")
+            if not isinstance(c, int) or c < 0:
+                raise ValueError(f"{name} coefficient on {v!r} must be a non-negative integer")
+    return _to_rows(system.vars, system.ineqs), *(tuple(d.get(v, 0) for v in system.vars) for d in (r1_def, r2_def))
 
 
-def with_rates(vars: tuple[str, ...], rows: list[Row], r1_def: Mapping[str, int],
-               r2_def: Mapping[str, int], width: int = 1) -> list[Row]:
-    """``rows`` with R1, R2 as parameters after the ``width`` others; ``R = d`` adds ``d <= R``, ``-d <= -R``."""
+def with_rates(rows: list[Row], r1: tuple[int, ...], r2: tuple[int, ...], width: int = 1) -> list[Row]:
+    """``rows`` with R1, R2 as parameters after the ``width`` others; ``R = r . vars`` adds ``r <= R``, ``-r <= -R``."""
     out = [(coeffs, form + (0, 0)) for coeffs, form in rows]
-    for unit, d in (((1, 0), r1_def), ((0, 1), r2_def)):
-        coeffs = tuple(d.get(v, 0) for v in vars)
+    for unit, coeffs in (((1, 0), r1), ((0, 1), r2)):
         out += [(coeffs, (0,) * width + unit), (tuple(-c for c in coeffs), (0,) * width + (-unit[0], -unit[1]))]
     return out
 
@@ -209,10 +212,8 @@ def project_to_rates(system: IneqSystem, r1_def: Mapping[str, int], r2_def: Mapp
     Eliminates the vars in declaration order.  Raises :class:`InfeasibleSystemError` for systems
     with no solution, which is distinct from the degenerate region {(0,0)}.
     """
-    _check_defs(system, "r1_def", r1_def)
-    _check_defs(system, "r2_def", r2_def)
     conditions: set[Form] = set()
-    rows = with_rates(system.vars, _to_rows(system.vars, system.ineqs), r1_def, r2_def)
+    rows = with_rates(*_as_rows(system, r1_def, r2_def))
     _eliminate(rows, len(system.vars), conditions)
     return evaluate_projection(conditions, (1,))
 
@@ -261,22 +262,21 @@ def enumerate_integer_projection(
     r2_def: Mapping[str, int],
     bound: int | None = None,
 ) -> set[tuple[int, int]]:
-    """Ground-truth oracle: achieved integer (R1, R2) pairs by exhaustion.
-
-    Walks every non-negative integer assignment with components up to
-    ``bound`` (default: the largest inequality bound), keeps the ones
-    satisfying every inequality and maps them through the rate definitions.
-    Depth-first over one interval per variable: given the slacks the earlier
-    values leave, the values of variable i that keep every row completable
-    form an interval, so exactly the satisfying assignments are visited.
-    """
-    _check_defs(system, "r1_def", r1_def)
-    _check_defs(system, "r2_def", r2_def)
-    rows = _to_rows(system.vars, system.ineqs)
+    """Ground-truth oracle: the (R1, R2) pairs :func:`enumerate_rows` finds, ``bound`` by default
+    the largest inequality bound as written."""
+    rows, r1, r2 = _as_rows(system, r1_def, r2_def)
     if bound is None:
         bound = max([0] + [q.bound for q in system.ineqs])
-    nv = len(system.vars)
+    return enumerate_rows(rows, r1, r2, bound)
 
+
+def enumerate_rows(rows: list[Row], r1: tuple[int, ...], r2: tuple[int, ...], bound: int) -> set[tuple[int, int]]:
+    """The (R1, R2) = (r1 . x, r2 . x) of every integer x in [0, bound]^n meeting ``rows``.
+
+    Depth-first over one interval per variable: given the slacks the earlier
+    values leave, the values of variable i that keep every row completable
+    form an interval, so exactly the satisfying assignments are visited."""
+    nv = len(r1)
     nonneg = [(coeffs, b) for coeffs, (b,) in rows if all(x >= 0 for x in coeffs)]
     caps = []
     for i in range(nv):
@@ -291,8 +291,6 @@ def enumerate_integer_projection(
             f"enumeration needs more than {ENUMERATION_LIMIT} combinations; use a smaller instance or bound"
         )
 
-    r1c = [r1_def.get(v, 0) for v in system.vars]
-    r2c = [r2_def.get(v, 0) for v in system.vars]
     achieved: set[tuple[int, int]] = set()
     # columns[i]: the rows' coefficients on variable i.  rest[i]: per row, the smallest contribution
     # variables i.. can make (negative coefficients may still lower the sum, so pruning stays exact).
@@ -303,7 +301,7 @@ def enumerate_integer_projection(
     # terms[i]: (row, coefficient, rest[i + 1] entry) of each row that has variable i.
     terms = [tuple((k, c, m) for k, (c, m) in enumerate(zip(columns[i], rest[i + 1])) if c) for i in range(nv)]
 
-    def walk(i: int, slacks: list[int], r1: int, r2: int) -> None:
+    def walk(i: int, slacks: list[int], t1: int, t2: int) -> None:
         # Row k stays completable iff val * c <= slacks[k] - m, an upper end for val if c > 0 and a
         # lower one if c < 0.  A row without variable i needs nothing: its slack already met rest[i],
         # which equals rest[i + 1] there.
@@ -314,13 +312,13 @@ def enumerate_integer_projection(
                     hi = (slacks[k] - m) // c
             elif -((slacks[k] - m) // -c) > lo:
                 lo = -((slacks[k] - m) // -c)
-        a, b = r1c[i], r2c[i]
+        a, b = r1[i], r2[i]
         if i + 1 == nv:
-            achieved.update([(r1 + a * val, r2 + b * val) for val in range(lo, hi + 1)])
+            achieved.update([(t1 + a * val, t2 + b * val) for val in range(lo, hi + 1)])
             return
         column = columns[i]
         for val in range(lo, hi + 1):
-            walk(i + 1, [s - val * c for s, c in zip(slacks, column)], r1 + a * val, r2 + b * val)
+            walk(i + 1, [s - val * c for s, c in zip(slacks, column)], t1 + a * val, t2 + b * val)
 
     bounds = [b for _, (b,) in rows]
     if all(b >= m for b, m in zip(bounds, rest[0])):

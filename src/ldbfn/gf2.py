@@ -54,10 +54,6 @@ class BitVector:
         return v
 
     @classmethod
-    def zero(cls, q: int) -> "BitVector":
-        return cls.from_word(0, q)
-
-    @classmethod
     def from_string(cls, s: str) -> "BitVector":
         if s.strip("01"):  # int(s, 2) alone also takes "_", a sign and whitespace
             raise ValueError(f"not a string of 0s and 1s: {s!r}")
@@ -77,9 +73,6 @@ class BitVector:
         if other.q != self.q:
             raise ValueError("length mismatch in XOR")
         return BitVector.from_word(self.word ^ other.word, self.q)
-
-    def is_zero(self) -> bool:
-        return not self.word
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitVector):

@@ -50,7 +50,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, NamedTuple
 
-from .fm import EmptyIntervalError, IneqSystem, LinearIneq, evaluate_projection, integer_lexmin, lexmin_chain, with_rates
+from .fm import (EmptyIntervalError, IneqSystem, LinearIneq, enumerate_rows, evaluate_projection, integer_lexmin,
+                 lexmin_chain, with_rates)
 from .gf2 import ChannelParams, SignalLayout, Slot
 from .regions import (RateRegion, Regime, applicable_regimes, achievable_region, corner_vertices, hs,
                       outer_bound_region, regime_of, sum_capacity)
@@ -95,8 +96,8 @@ _NS_NC, _NR_NC = (-1, 1, 0, 0), (-1, 0, 1, 0)
 # rows of its component-rate inequalities ``row . vars <= bound`` aligned with
 # them, the rows' bounds, which are non-negative wherever the regime applies,
 # and the rows of R1 = r1 . vars and R2 = r2 . vars.  Every per-regime view
-# (constraint system, rate definitions, allocation chain, the vector the
-# builders unpack) derives from it, in this variable order.
+# (constraint system, rate definitions, allocation chain, oracle points, the
+# vector the builders unpack) derives from it, in this variable order.
 _SYSTEMS = {
     Regime.A: (
         ("Rc1", "Rc2", "R1d", "R2d"),
@@ -172,10 +173,10 @@ def _rate_pair(regime: Regime, xs: tuple[int, ...]) -> tuple[int, int]:
 
 def _alloc_rows(regime: Regime) -> list:
     """The regime's rows in ``ALLOC_ORDER`` with bounds over (nc, ns, nr, nf, t1, t2), R1 = t1, R2 = t2."""
-    vars, rows, forms, _ = _SYSTEMS[regime]
+    vars, rows, forms, rates = _SYSTEMS[regime]
     cols = [vars.index(v) for v in ALLOC_ORDER[regime]]
     rows = [(tuple(row[i] for i in cols), form) for row, form in zip(rows, forms)]
-    return with_rates(ALLOC_ORDER[regime], rows, *rate_definitions(regime), 4)
+    return with_rates(rows, *(tuple(r[i] for i in cols) for r in rates), 4)
 
 
 _CHAINS = {r: lexmin_chain(ALLOC_ORDER[r], _alloc_rows(r)) for r in Regime}
@@ -185,6 +186,14 @@ def projected_region(regime: Regime, p: ChannelParams) -> RateRegion:
     """FM projection of ``constraint_system(regime, p)``, read off the regime's one elimination."""
     _require_regime(regime, p)
     return evaluate_projection(_CHAINS[regime].conditions, (p.nc, p.ns, p.nr, p.nf))
+
+
+def enumerated_points(regime: Regime, p: ChannelParams) -> set[tuple[int, int]]:
+    """The enumeration oracle's (R1, R2) points of ``constraint_system(regime, p)``, walked on the regime's rows."""
+    _require_regime(regime, p)
+    _, rows, _, (r1, r2) = _SYSTEMS[regime]
+    bounds = _bounds(regime, p)
+    return enumerate_rows([(row, (b,)) for row, b in zip(rows, bounds)], r1, r2, max([0, *bounds]))
 
 
 @dataclass(frozen=True)
@@ -785,9 +794,10 @@ def build_scheme(p: ChannelParams, alloc: RateAllocation) -> Scheme:
     """Materialize the full per-use signal plan for a feasible allocation."""
     _require_regime(alloc.regime, p)
     xs = alloc._vector()
-    for k, (row, bound) in enumerate(zip(_SYSTEMS[alloc.regime][1], _bounds(alloc.regime, p))):
+    vars, rows = _SYSTEMS[alloc.regime][:2]
+    for row, bound in zip(rows, _bounds(alloc.regime, p)):
         if sum(map(mul, row, xs)) > bound:
-            raise SchemeError(f"allocation {alloc.as_dict()} violates {constraint_system(alloc.regime, p).ineqs[k]}")
+            raise SchemeError(f"allocation {alloc.as_dict()} violates {LinearIneq.of(dict(zip(vars, row)), bound)}")
     b = _Builder(p, alloc, xs)
     _BUILDERS[alloc.regime](b, p, xs)
     return b.build()

@@ -78,7 +78,7 @@ class TestEliminate:
 class TestBoundForms:
     def test_parametric_projection_evaluates_to_concrete(self):
         # x + y <= a, x <= b: one elimination with forms over (a, b) serves every (a, b).
-        rows = fm.with_rates(("x", "y"), [((1, 1), (1, 0)), ((1, 0), (0, 1))], {"x": 1}, {"y": 1}, width=2)
+        rows = fm.with_rates([((1, 1), (1, 0)), ((1, 0), (0, 1))], (1, 0), (0, 1), width=2)
         conditions = fm.lexmin_chain(("x", "y"), rows).conditions
         assert all(len(form) == 4 for form in conditions)
         for a, b in product(range(4), repeat=2):
@@ -88,7 +88,7 @@ class TestBoundForms:
 
     def test_negative_condition_raises(self):
         # x <= a and -x <= -b leave the condition 0 <= a - b.
-        rows = fm.with_rates(("x",), [((1,), (1, 0)), ((-1,), (0, -1))], {"x": 1}, {"x": 1}, width=2)
+        rows = fm.with_rates([((1,), (1, 0)), ((-1,), (0, -1))], (1,), (1,), width=2)
         conditions = fm.lexmin_chain(("x",), rows).conditions
         assert (1, -1, 0, 0) in conditions
         assert fm.evaluate_projection(conditions, (2, 1)).contains((1, 1))

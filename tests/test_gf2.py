@@ -32,21 +32,21 @@ class TestShiftReceive:
     """Every link of ``channel_step`` against the explicit shift matrix."""
 
     def test_identity_at_full_strength(self):
-        x, z = BitVector((1, 0, 1)), BitVector.zero(3)
+        x, z = BitVector((1, 0, 1)), BitVector.from_word(0, 3)
         outs = channel_step(NetworkInputs(x, z, x, x), ChannelParams(3, 0, 0, 3))
         assert outs.y4 == outs.y1 == x
-        assert outs.y3.is_zero() and outs.y0.is_zero()
+        assert outs.y3.word == 0 and outs.y0.word == 0
 
     def test_annihilates_at_zero(self):
         x = BitVector((1, 1, 1))
         outs = channel_step(NetworkInputs(x, x, x, x), ChannelParams(0, 3, 0, 0))
-        assert all(getattr(outs, n).is_zero() for n in ("y0", "y1", "y2", "y3", "y4"))
+        assert all(getattr(outs, n).word == 0 for n in ("y0", "y1", "y2", "y3", "y4"))
 
     def test_single_shift_matches_matrix_oracle(self):
         x = BitVector((1, 0, 1))
         expected = shift_matrix_oracle(x, 1)
         assert expected == BitVector((0, 0, 1))
-        z = BitVector.zero(3)
+        z = BitVector.from_word(0, 3)
         assert channel_step(NetworkInputs(z, x, z, z), ChannelParams(1, 3, 0, 0)).y3 == expected
 
     @given(st.data())
@@ -63,7 +63,7 @@ class TestShiftReceive:
     @given(st.data())
     def test_preserves_exactly_top_bits(self, data):
         p = ChannelParams(*(data.draw(st.integers(0, 5)) for _ in range(4)))
-        q, n, z = p.q, p.nc, BitVector.zero(p.q)
+        q, n, z = p.q, p.nc, BitVector.from_word(0, p.q)
         x = random_vector(data, q)
         y = channel_step(NetworkInputs(x, z, z, z), p).y4
         assert y.bits[q - n:] == x.bits[:n]
@@ -71,7 +71,7 @@ class TestShiftReceive:
 
 
 def all_zero_inputs(q):
-    z = BitVector.zero(q)
+    z = BitVector.from_word(0, q)
     return NetworkInputs(z, z, z, z)
 
 
@@ -79,7 +79,7 @@ class TestChannelStep:
     def test_zero_in_zero_out(self):
         p = ChannelParams(2, 3, 1, 1)
         outs = channel_step(all_zero_inputs(p.q), p)
-        assert all(getattr(outs, n).is_zero() for n in ("y0", "y1", "y2", "y3", "y4"))
+        assert all(getattr(outs, n).word == 0 for n in ("y0", "y1", "y2", "y3", "y4"))
 
     def test_single_top_bit_from_source_one(self):
         # (nc, ns, nr, nf) = (2, 3, 1, 1), x1 = e1: the relay hears it at
@@ -88,18 +88,18 @@ class TestChannelStep:
         p = ChannelParams(2, 3, 1, 1)
         q = p.q
         e1 = BitVector((1,) + (0,) * (q - 1))
-        z = BitVector.zero(q)
+        z = BitVector.from_word(0, q)
         outs = channel_step(NetworkInputs(e1, z, z, z), p)
         assert outs.y0.bits == (0,) * (q - p.ns) + (1,) + (0,) * (p.ns - 1)
         assert outs.y4.bits == (0,) * (q - p.nc) + (1,) + (0,) * (p.nc - 1)
-        assert outs.y3.is_zero()
+        assert outs.y3.word == 0
 
     def test_equal_sources_cancel_at_relay(self):
         p = ChannelParams(2, 3, 1, 0)
         x = BitVector((1, 1, 0))
-        z = BitVector.zero(p.q)
+        z = BitVector.from_word(0, p.q)
         outs = channel_step(NetworkInputs(x, x, z, z), p)
-        assert outs.y0.is_zero()
+        assert outs.y0.word == 0
         assert outs.y3 == shift_matrix_oracle(x, p.nc)
         assert outs.y4 == shift_matrix_oracle(x, p.nc)
 
@@ -207,7 +207,7 @@ class TestWordBoundary:
     def test_xor_of_words(self):
         x = BitVector((1, 0, 1))
         assert x ^ BitVector((0, 1, 1)) == BitVector((1, 1, 0))
-        assert (x ^ x).is_zero()
+        assert (x ^ x).word == 0
         with pytest.raises(ValueError):
             x ^ BitVector((1, 0))
 
@@ -223,7 +223,7 @@ class TestWordBoundary:
     @pytest.mark.parametrize("name", ["x1", "x2", "xr", "xf"])
     def test_channel_step_rejects_wrong_length(self, name):
         p = ChannelParams(2, 3, 1, 1)
-        inputs = {n: BitVector.zero(p.q) for n in ("x1", "x2", "xr", "xf")}
+        inputs = {n: BitVector.from_word(0, p.q) for n in ("x1", "x2", "xr", "xf")}
         inputs[name] = BitVector((1, 1))  # q - 1 levels: every shift still fits
         with pytest.raises(ValueError, match=name):
             channel_step(NetworkInputs(**inputs), p)

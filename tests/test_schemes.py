@@ -28,9 +28,9 @@ from ldbfn import (
     regime_of,
     run,
 )
-from ldbfn import schemes
-from ldbfn.fm import lexmin_chain
-from ldbfn.schemes import ALLOC_ORDER, Subtract, projected_region
+from ldbfn import cli, fm, schemes
+from ldbfn.fm import enumerate_integer_projection, lexmin_chain
+from ldbfn.schemes import ALLOC_ORDER, Subtract, enumerated_points, projected_region
 
 SHOWCASE = ChannelParams(2, 3, 1, 1)
 NETGAIN = ChannelParams(6, 3, 1, 1)
@@ -170,6 +170,36 @@ class TestAllocate:
             assert allocate(p, point).rate_pair() == point
 
 
+class TestInternalRows:
+    def test_internal_paths_build_no_api_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an internal path built the API inequality form")
+
+        monkeypatch.delenv("LDBFN_THREADS", raising=False)  # keep every row in this process
+        for owner, name in ((fm.LinearIneq, "__post_init__"), (fm.IneqSystem, "__post_init__"), (fm, "_to_rows"),
+                            (schemes, "constraint_system"), (schemes, "rate_definitions")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert all(row["fm_oracle_equal"] for row in cli.sweep_rows(3, with_oracle=True))
+        for tup in product(range(4), repeat=4):
+            p = ChannelParams(*tup)
+            for corner in integer_corners(p):
+                assert build_scheme(p, allocate(p, corner)).rates == corner
+        assert {r: lexmin_chain(ALLOC_ORDER[r], schemes._alloc_rows(r)) for r in Regime} == schemes._CHAINS
+
+    def test_enumerated_points_equal_the_api_oracle(self):
+        ties = 0
+        for tup in product(range(5), repeat=4):
+            p = ChannelParams(*tup)
+            regimes = applicable_regimes(p)
+            ties += len(regimes) > 1
+            for regime in regimes:
+                api = enumerate_integer_projection(constraint_system(regime, p), *rate_definitions(regime))
+                assert enumerated_points(regime, p) == api, (tup, regime)
+        assert ties  # tuples where a second regime applies, which the sweep never reaches
+        with pytest.raises(ValueError):
+            enumerated_points(Regime.A, ChannelParams(6, 3, 1, 0))
+
+
 def sample_schemes(max_level=3):
     for tup in product(range(max_level + 1), repeat=4):
         p = ChannelParams(*tup)
@@ -185,6 +215,17 @@ class TestBuildScheme:
         violated = "LinearIneq(coeffs={'Rc1': 1, 'Rc2': 1, 'R1d': 1, 'R2d': 1}, bound=1)"
         with pytest.raises(SchemeError, match=re.escape(f"violates {violated}")):
             build_scheme(ChannelParams(2, 1, 3, 0), bad)
+        # On every table the message names the first violated row in its API form.
+        for regime, p, values, k in [
+            (Regime.A, ChannelParams(2, 1, 3, 0), {"Rc1": 5}, 0),
+            (Regime.B, ChannelParams(1, 2, 3, 0), {"Rbar1d": 2}, 1),
+            (Regime.C, NETGAIN, {"R2f": 2}, 3),
+            (Regime.D, ChannelParams(2, 3, 1, 1), {"R2f": 2}, 4),
+        ]:
+            bad = RateAllocation.of(regime, values)
+            with pytest.raises(SchemeError) as info:
+                build_scheme(p, bad)
+            assert str(info.value) == f"allocation {bad.as_dict()} violates {constraint_system(regime, p).ineqs[k]}"
 
     def test_partial_allocation_reads_missing_variables_as_zero(self):
         alloc = RateAllocation.of(Regime.A, {"Rc1": 1})

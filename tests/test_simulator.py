@@ -56,7 +56,7 @@ class TestRun:
         trace, report = run(scheme, n_blocks=8, seed=1)
         assert not report.errors
         assert report.delivered_bits == (0, 0)
-        assert all(step.inputs.x1.is_zero() and step.inputs.xr.is_zero() for step in trace.steps)
+        assert all(step.inputs.x1.word == 0 and step.inputs.xr.word == 0 for step in trace.steps)
 
     def test_seed_determinism(self):
         scheme = scheme_for(ChannelParams(3, 2, 1, 2), (2, 1))
