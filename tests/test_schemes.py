@@ -257,6 +257,18 @@ class TestBuildScheme:
         with pytest.raises(SchemeError, match="slot c1 of x1 redeclared"):
             b.tx("x1", "c1", 1, 1, "c1", 0)
 
+    def test_builder_read_of_a_slot_straddling_the_noise_floor_raises(self):
+        # At (2, 1, 3, 0) the relay hears only x1's top level: levels [0, 2) straddle its noise floor.
+        alloc = RateAllocation.of(Regime.A, {})
+        p = ChannelParams(2, 1, 3, 0)
+        b = schemes._Builder(p, alloc, alloc._vector())
+        b.pair("c", 2)
+        b.tx("x1", "c1", 0, 2, "c1", 0)
+        with pytest.raises(SchemeError) as info:
+            b.read(0, "x1", "c1", p.ns, "csum", 0)
+        assert str(info.value) == "slot c1 only partially visible at node 0 (gain 1); a read would be ambiguous"
+        assert b.plans[0] == []
+
     def test_layouts_fit_inside_q_and_relay_extents(self):
         for p, scheme in sample_schemes(3):
             q = p.q
