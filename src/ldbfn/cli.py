@@ -11,7 +11,8 @@ import csv
 import json
 import sys
 from contextlib import ExitStack, nullcontext
-from itertools import product
+from dataclasses import asdict
+from itertools import accumulate, product
 
 from .fm import (
     EnumerationLimitError,
@@ -25,6 +26,7 @@ from .gf2 import ChannelParams
 from .regions import (
     corner_points,
     frac_to_json,
+    integer_columns,
     integer_points,
     is_bounded,
     achievable_region,
@@ -39,6 +41,9 @@ from .schemes import (InfeasibleTargetError, allocate, build_scheme, enumerated_
 from .simulator import run, parallel_map
 
 SWEEP_COLUMNS = ["nc", "ns", "nr", "nf", "regime", "sum_capacity", "net_gain", "thm2_equal", "corners"]
+# fm-check holds every integer point of the projection twice, its own and the oracle's, and prints
+# both lists, about 72 bytes of JSON a point: 10**4 points print 0.7 MB, so more are refused up front.
+FM_CHECK_POINT_LIMIT = 10_000
 
 
 def _params(args) -> ChannelParams:
@@ -85,7 +90,7 @@ def cmd_region(args) -> int:
     outer = outer_bound_region(p)
     achievable = achievable_region(p)
     payload = {
-        "params": {"nc": p.nc, "ns": p.ns, "nr": p.nr, "nf": p.nf, "q": p.q},
+        "params": {**asdict(p), "q": p.q},
         "regime": regime_of(p).value,
         "outer_bound": region_to_jsonable(outer),
         "achievable": region_to_jsonable(achievable),
@@ -193,6 +198,8 @@ def cmd_fm_check(args) -> int:
         return 1
     if not is_bounded(projected):
         return _input_error(f"{args.system}: the projection onto (R1, R2) is unbounded")
+    if any(n > FM_CHECK_POINT_LIMIT for n in accumulate(len(c) for _, c in integer_columns(projected))):
+        return _input_error(f"{args.system}: the projection has more than {FM_CHECK_POINT_LIMIT} integer points")
     try:
         oracle = enumerate_integer_projection(system, r1_def, r2_def, bound=args.oracle_bound)
     except EnumerationLimitError as e:

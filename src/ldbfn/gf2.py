@@ -13,7 +13,10 @@ source-destination links; source j reaches the *other* pair's destination
 over a cross link of strength ``nc``, both sources reach the relay over
 links of strength ``ns``, the relay reaches both destinations at strength
 ``nr`` and broadcasts an out-of-band feedback vector to both sources at
-strength ``nf``.
+strength ``nf``.  :data:`SENDERS` names each signal's sender and :data:`LINKS`
+the strength at which each node hears each signal it receives, and
+:func:`land` says where a block of levels arrives; :func:`channel_words`
+spells the same wiring out by hand, because it is the simulator's hot path.
 """
 
 from __future__ import annotations
@@ -137,6 +140,27 @@ class NetworkOutputs:
     y4: BitVector  # destination 2
 
 
+# The node that sends each signal, in the order channel_words takes them.
+SENDERS = {"x1": 1, "x2": 2, "xr": 0, "xf": 0}
+# The link strength, as a ChannelParams field, at which a node hears a signal.
+LINKS = {(0, "x1"): "ns", (0, "x2"): "ns", (1, "xf"): "nf", (2, "xf"): "nf",
+         (3, "x2"): "nc", (3, "xr"): "nr", (4, "x1"): "nc", (4, "xr"): "nr"}
+
+
+def gain(params: ChannelParams, node: int, signal: str) -> int:
+    """The strength at which ``node`` hears ``signal``; 0 for a pair :data:`LINKS` does not list."""
+    link = LINKS.get((node, signal))
+    return getattr(params, link) if link else 0
+
+
+def land(params: ChannelParams, node: int, signal: str, start: int, length: int) -> tuple[int, int]:
+    """(position, visible length) at ``node`` of ``signal``'s levels [start, start + length): they
+    arrive ``q - gain`` levels lower, cut at the noise floor; (0, 0) when none is heard."""
+    g = gain(params, node, signal)
+    vis = min(start + length, g) - start
+    return (params.q - g + start, vis) if vis > 0 else (0, 0)
+
+
 def channel_words(params: ChannelParams, x1: int, x2: int, xr: int, xf: int) -> tuple[int, int, int, int]:
     """One noiseless use of the network on q-bit words; returns (y0, y1, y3, y4).
 
@@ -155,7 +179,7 @@ def channel_step(inputs: NetworkInputs, params: ChannelParams) -> NetworkOutputs
     """One noiseless use of the network on vectors of length q (see :func:`channel_words`)."""
     q = params.q
     if not inputs.x1.q == inputs.x2.q == inputs.xr.q == inputs.xf.q == q:
-        name = next(n for n in ("x1", "x2", "xr", "xf") if getattr(inputs, n).q != q)
+        name = next(n for n in SENDERS if getattr(inputs, n).q != q)
         raise ValueError(f"{name} must have length q={q}")
     y0, yf, y3, y4 = (
         BitVector.from_word(w, q)

@@ -39,7 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .gf2 import ChannelParams
 
@@ -314,13 +314,12 @@ def region_contains(outer: RateRegion, inner: RateRegion) -> bool:
     return all(a1 * n1 + a2 * n2 <= b * d for n1, n2, d in inner.vertices for a1, a2, b in outer.rows)
 
 
-def integer_points(region: RateRegion) -> set[tuple[int, int]]:
-    """All integer rate pairs inside the (bounded) region: the rows leave one interval of R2 at
-    each integer R1, so the cost grows with the points and the R1 range, not the bounding box."""
+def integer_columns(region: RateRegion) -> Iterator[tuple[int, range]]:
+    """(r1, R2 values) of the integer points inside the (bounded) region, one column per integer r1
+    from 0: the rows leave one interval of R2 at each r1, so no bounding box is walked."""
     _check_bounded(region)
     m1 = max(n1 // d for n1, _, d in region.vertices)
     m2 = max(n2 // d for _, n2, d in region.vertices)
-    points = set()
     for r1 in range(m1 + 1):
         lo, hi = 0, m2
         for a1, a2, b in region.rows:  # a2 * R2 <= b - a1 * r1
@@ -330,8 +329,12 @@ def integer_points(region: RateRegion) -> set[tuple[int, int]]:
                 lo = max(lo, -((b - a1 * r1) // -a2))
             elif a1 * r1 > b:
                 hi = -1
-        points.update((r1, r2) for r2 in range(lo, hi + 1))
-    return points
+        yield r1, range(lo, hi + 1)
+
+
+def integer_points(region: RateRegion) -> set[tuple[int, int]]:
+    """All integer rate pairs inside the (bounded) region, read off :func:`integer_columns`."""
+    return {(r1, r2) for r1, column in integer_columns(region) for r2 in column}
 
 
 def sum_capacity(region: RateRegion) -> Fraction:

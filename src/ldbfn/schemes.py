@@ -45,14 +45,14 @@ otherwise a ceiling overshot its interval, and SchemeError names the variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Mapping, NamedTuple
 
 from .fm import (EmptyIntervalError, IneqSystem, LinearIneq, enumerate_rows, evaluate_projection, integer_lexmin,
                  lexmin_chain, with_rates)
-from .gf2 import ChannelParams, SignalLayout, Slot
+from .gf2 import SENDERS, ChannelParams, SignalLayout, Slot, gain, land
 from .regions import (RateRegion, Regime, applicable_regimes, achievable_region, corner_vertices, hs,
                       outer_bound_region, regime_of, sum_capacity)
 
@@ -385,15 +385,13 @@ class Scheme:
 
     def to_jsonable(self) -> dict:
         def step_json(s: DecodeStep) -> dict:
-            if isinstance(s, Combine):
-                return {"op": s.kind, "target": s.target, "a": s.a, "b": s.b, "offset": s.offset}
-            d = {"op": s.kind, "stream": s.stream, "offset": s.offset, "pos": s.pos, "length": s.length}
-            if isinstance(s, Read) and s.at:
-                d["at"] = s.at
+            d = {"op": s.kind, **s._asdict()}
+            if isinstance(s, Read) and not s.at:
+                del d["at"]
             return d
 
         return {
-            "params": {"nc": self.params.nc, "ns": self.params.ns, "nr": self.params.nr, "nf": self.params.nf, "q": self.params.q},
+            "params": {**asdict(self.params), "q": self.params.q},
             "regime": self.regime.value,
             "allocation": dict(self.alloc.values),
             "rates": list(self.rates),
@@ -403,15 +401,9 @@ class Scheme:
             "sums": {k: list(v) for k, v in self.sums.items()},
             "layouts": {
                 key: {
-                    "slots": [
-                        {"name": s.name, "start": s.start, "length": s.length}
-                        for s in plan.layout.slots
-                    ],
+                    "slots": [s._asdict() for s in plan.layout.slots],
                     "overlaps": sorted(sorted(pair) for pair in plan.layout.overlaps),
-                    "bindings": [
-                        {"slot": b.slot, "stream": b.stream, "offset": b.offset, "take": b.take}
-                        for b in plan.bindings
-                    ],
+                    "bindings": [b._asdict() for b in plan.bindings],
                 }
                 for key, plan in self.transmit.items()
             },
@@ -420,22 +412,18 @@ class Scheme:
         }
 
 
-_SIGNALS = ("x1", "x2", "xr", "xf")
-
-
 class _Builder:
     """Accumulates streams, slots, bindings and decode steps for one scheme."""
 
     def __init__(self, p: ChannelParams, alloc: RateAllocation, xs: tuple[int, ...]):
         self.p = p
-        self.q = p.q
         self.alloc = alloc
         self.rates = _rate_pair(alloc.regime, xs)
         self.streams: dict[str, int] = {}
         self.sums: dict[str, tuple[str, ...]] = {}
-        self.named: dict[str, dict[str, Slot]] = {k: {} for k in _SIGNALS}
-        self.bindings: dict[str, list[Binding]] = {k: [] for k in _SIGNALS}
-        self.overlaps: dict[str, set[frozenset[str]]] = {k: set() for k in _SIGNALS}
+        self.named: dict[str, dict[str, Slot]] = {k: {} for k in SENDERS}
+        self.bindings: dict[str, list[Binding]] = {k: [] for k in SENDERS}
+        self.overlaps: dict[str, set[frozenset[str]]] = {k: set() for k in SENDERS}
         self.plans: dict[int, list[DecodeStep]] = {0: [], 1: [], 2: [], 3: [], 4: []}
 
     def stream(self, name: str, length: int) -> None:
@@ -467,30 +455,20 @@ class _Builder:
         if a in names and b in names:
             self.overlaps[signal].add(frozenset((a, b)))
 
-    def land(self, signal: str, name: str, gain: int) -> tuple[int, int]:
-        """(receive position, visible length) of a transmitted slot."""
-        s = self.named[signal].get(name)
-        if s is None:
-            return (0, 0)
-        vis = min(s.stop, gain) - s.start
-        if vis <= 0:
-            return (0, 0)
-        return (self.q - gain + s.start, vis)
-
-    def sub(self, node: int, signal: str, slot: str, gain: int, stream: str, offset: int) -> None:
-        pos, vis = self.land(signal, slot, gain)
+    def sub(self, node: int, signal: str, slot: str, stream: str, offset: int) -> None:
+        s = self.named[signal].get(slot)
+        pos, vis = land(self.p, node, signal, s.start, s.length) if s else (0, 0)
         if vis > 0:
             self.plans[node].append(Subtract(stream, offset, pos, vis))
 
-    def read(self, node: int, signal: str, slot: str, gain: int,
-             stream: str, offset: int, at: int = 0) -> None:
+    def read(self, node: int, signal: str, slot: str, stream: str, offset: int, at: int = 0) -> None:
         s = self.named[signal].get(slot)
         if s is None:
             return
-        pos, vis = self.land(signal, slot, gain)
+        pos, vis = land(self.p, node, signal, s.start, s.length)
         if vis != s.length:
             raise SchemeError(
-                f"slot {slot} only partially visible at node {node} (gain {gain}); "
+                f"slot {slot} only partially visible at node {node} (gain {gain(self.p, node, signal)}); "
                 "a read would be ambiguous"
             )
         self.plans[node].append(Read(stream, offset, pos, s.length, at))
@@ -502,10 +480,10 @@ class _Builder:
     def build(self) -> Scheme:
         transmit = {
             key: TransmitPlan(
-                SignalLayout(self.q, tuple(self.named[key].values()), frozenset(self.overlaps[key])),
+                SignalLayout(self.p.q, tuple(self.named[key].values()), frozenset(self.overlaps[key])),
                 tuple(self.bindings[key]),
             )
-            for key in _SIGNALS
+            for key in SENDERS
         }
         # Structural sanity: the relay may only occupy its top nr / nf levels.
         if transmit["xr"].layout.occupied_extent() > self.p.nr:
@@ -554,17 +532,17 @@ def _build_regime_a(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     b.tx("xr", "csum_lo", base + Rc + R1d + R2d, Rc2, "csum", -1, take=Rc1)
 
     # Relay: every component is clean inside its top ns levels.
-    b.read(0, "x1", "c1", p.ns, "csum", 0)
-    b.read(0, "x1", "d1", p.ns, "d1", 0)
-    b.read(0, "x2", "d2", p.ns, "d2", 0)
+    b.read(0, "x1", "c1", "csum", 0)
+    b.read(0, "x1", "d1", "d1", 0)
+    b.read(0, "x2", "d2", "d2", 0)
 
     for dest, cross, own, other in ((3, "x2", 1, 2), (4, "x1", 2, 1)):
-        b.sub(dest, cross, f"d{other}", p.nc, f"d{other}", 0)
-        b.read(dest, "xr", "csum_hi", p.nr, "csum", -1, at=0)
-        b.read(dest, "xr", "csum_lo", p.nr, "csum", -1, at=Rc1)
-        b.read(dest, cross, f"c{other}", p.nc, f"c{other}", 0)
-        b.read(dest, "xr", "d1_fwd", p.nr, "d1", -1)
-        b.read(dest, "xr", "d2_fwd", p.nr, "d2", -1)
+        b.sub(dest, cross, f"d{other}", f"d{other}", 0)
+        b.read(dest, "xr", "csum_hi", "csum", -1, at=0)
+        b.read(dest, "xr", "csum_lo", "csum", -1, at=Rc1)
+        b.read(dest, cross, f"c{other}", f"c{other}", 0)
+        b.read(dest, "xr", "d1_fwd", "d1", -1)
+        b.read(dest, "xr", "d2_fwd", "d2", -1)
         b.combine(dest, f"c{own}", "csum", f"c{other}", 0)
 
 
@@ -604,24 +582,24 @@ def _build_regime_b(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
 
     # Relay, forward in time: strip the present N-sum it forwarded itself,
     # then everything else sits clean.
-    b.sub(0, "x1", "n1_present", p.ns, "nsum", -1)
-    b.read(0, "x1", "c1", p.ns, "csum", 0)
-    b.read(0, "x1", "d1", p.ns, "d1", 0)
-    b.read(0, "x2", "d2", p.ns, "d2", 0)
-    b.read(0, "x1", "du1", p.ns, "du1", 0)
-    b.read(0, "x2", "du2", p.ns, "du2", 0)
-    b.read(0, "x1", "n1_future", p.ns, "nsum", 0)
+    b.sub(0, "x1", "n1_present", "nsum", -1)
+    b.read(0, "x1", "c1", "csum", 0)
+    b.read(0, "x1", "d1", "d1", 0)
+    b.read(0, "x2", "d2", "d2", 0)
+    b.read(0, "x1", "du1", "du1", 0)
+    b.read(0, "x2", "du2", "du2", 0)
+    b.read(0, "x1", "n1_future", "nsum", 0)
 
     for dest, cross, own, other in ((3, "x2", 1, 2), (4, "x1", 2, 1)):
-        b.sub(dest, cross, f"d{other}", p.nc, f"d{other}", 0)
-        b.sub(dest, cross, f"du{other}", p.nc, f"du{other}", 0)
-        b.read(dest, "xr", "du1_fwd", p.nr, "du1", -1)
-        b.read(dest, "xr", "du2_fwd", p.nr, "du2", -1)
-        b.read(dest, "xr", "csum_fwd", p.nr, "csum", -1)
-        b.read(dest, cross, f"c{other}", p.nc, f"c{other}", 0)
-        b.read(dest, "xr", "d1_fwd", p.nr, "d1", -1)
-        b.read(dest, "xr", "d2_fwd", p.nr, "d2", -1)
-        b.read(dest, cross, f"n{other}_present", p.nc, f"n{own}", -1)
+        b.sub(dest, cross, f"d{other}", f"d{other}", 0)
+        b.sub(dest, cross, f"du{other}", f"du{other}", 0)
+        b.read(dest, "xr", "du1_fwd", "du1", -1)
+        b.read(dest, "xr", "du2_fwd", "du2", -1)
+        b.read(dest, "xr", "csum_fwd", "csum", -1)
+        b.read(dest, cross, f"c{other}", f"c{other}", 0)
+        b.read(dest, "xr", "d1_fwd", "d1", -1)
+        b.read(dest, "xr", "d2_fwd", "d2", -1)
+        b.read(dest, cross, f"n{other}_present", f"n{own}", -1)
         b.combine(dest, f"c{own}", "csum", f"c{other}", 0)
 
 
@@ -665,31 +643,31 @@ def _build_regime_c(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     b.tx("xf", "bfsum", Rfmax, Rbf, "bfsum", -1)
 
     # Relay: strip the two-use-old F-signals riding on the same levels.
-    b.sub(0, "x2", "f1_slot", p.ns, "f1", -2)
-    b.sub(0, "x1", "f2_slot", p.ns, "f2", -2)
-    b.sub(0, "x1", "bf2_fwd", p.ns, "bfsum", -2)
-    b.read(0, "x1", "c1", p.ns, "csum", 0)
-    b.read(0, "x1", "f1_slot", p.ns, "f1", 0)
-    b.read(0, "x2", "f2_slot", p.ns, "f2", 0)
-    b.read(0, "x1", "bf1_own", p.ns, "bfsum", 0)
-    b.read(0, "x1", "d1", p.ns, "d1", 0)
-    b.read(0, "x2", "d2", p.ns, "d2", 0)
+    b.sub(0, "x2", "f1_slot", "f1", -2)
+    b.sub(0, "x1", "f2_slot", "f2", -2)
+    b.sub(0, "x1", "bf2_fwd", "bfsum", -2)
+    b.read(0, "x1", "c1", "csum", 0)
+    b.read(0, "x1", "f1_slot", "f1", 0)
+    b.read(0, "x2", "f2_slot", "f2", 0)
+    b.read(0, "x1", "bf1_own", "bfsum", 0)
+    b.read(0, "x1", "d1", "d1", 0)
+    b.read(0, "x2", "d2", "d2", 0)
 
     # Sources: decode the feedback broadcast, strip own contribution.
     for node, own, other in ((1, 1, 2), (2, 2, 1)):
-        b.read(node, "xf", "fsum", p.nf, "fsum", -1)
-        b.read(node, "xf", "bfsum", p.nf, "bfsum", -1)
+        b.read(node, "xf", "fsum", "fsum", -1)
+        b.read(node, "xf", "bfsum", "bfsum", -1)
         b.combine(node, f"f{other}", "fsum", f"f{own}", -1)
         b.combine(node, f"bf{other}", "bfsum", f"bf{own}", -1)
 
     for dest, cross, own, other in ((3, "x2", 1, 2), (4, "x1", 2, 1)):
-        b.sub(dest, cross, f"d{other}", p.nc, f"d{other}", 0)
-        b.read(dest, cross, f"c{other}", p.nc, f"c{other}", 0)
-        b.read(dest, cross, f"f{own}_slot", p.nc, f"f{own}", -2)
-        b.read(dest, cross, f"bf{own}_fwd", p.nc, f"bf{own}", -2)
-        b.read(dest, "xr", "d1_fwd", p.nr, "d1", -1)
-        b.read(dest, "xr", "d2_fwd", p.nr, "d2", -1)
-        b.read(dest, "xr", "csum_fwd", p.nr, "csum", -1)
+        b.sub(dest, cross, f"d{other}", f"d{other}", 0)
+        b.read(dest, cross, f"c{other}", f"c{other}", 0)
+        b.read(dest, cross, f"f{own}_slot", f"f{own}", -2)
+        b.read(dest, cross, f"bf{own}_fwd", f"bf{own}", -2)
+        b.read(dest, "xr", "d1_fwd", "d1", -1)
+        b.read(dest, "xr", "d2_fwd", "d2", -1)
+        b.read(dest, "xr", "csum_fwd", "csum", -1)
         b.combine(dest, f"c{own}", "csum", f"c{other}", 0)
 
 
@@ -748,38 +726,38 @@ def _build_regime_d(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     b.tx("xf", "bfbsum", Rfmax + Rba, Rbb, "bfbsum", -1)
 
     # Relay, forward: strip everything it already knows, then read clean.
-    b.sub(0, "x2", "f1_slot", p.ns, "f1", -2)
-    b.sub(0, "x1", "f2_slot", p.ns, "f2", -2)
-    b.sub(0, "x1", "bfa2_fwd", p.ns, "bfasum", -2)
-    b.sub(0, "x1", "bfb2_fwd", p.ns, "bfbsum", -2)
-    b.sub(0, "x1", "na1_present", p.ns, "nasum", -1)
-    b.sub(0, "x1", "nb1_present", p.ns, "nbsum", -1)
-    b.read(0, "x1", "f1_slot", p.ns, "f1", 0)
-    b.read(0, "x2", "f2_slot", p.ns, "f2", 0)
-    b.read(0, "x1", "bfa1_own", p.ns, "bfasum", 0)
-    b.read(0, "x1", "bfb1_own", p.ns, "bfbsum", 0)
-    b.read(0, "x1", "na1_future", p.ns, "nasum", 0)
-    b.read(0, "x1", "nb1_future", p.ns, "nbsum", 0)
-    b.read(0, "x1", "d1", p.ns, "d1", 0)
-    b.read(0, "x2", "d2", p.ns, "d2", 0)
+    b.sub(0, "x2", "f1_slot", "f1", -2)
+    b.sub(0, "x1", "f2_slot", "f2", -2)
+    b.sub(0, "x1", "bfa2_fwd", "bfasum", -2)
+    b.sub(0, "x1", "bfb2_fwd", "bfbsum", -2)
+    b.sub(0, "x1", "na1_present", "nasum", -1)
+    b.sub(0, "x1", "nb1_present", "nbsum", -1)
+    b.read(0, "x1", "f1_slot", "f1", 0)
+    b.read(0, "x2", "f2_slot", "f2", 0)
+    b.read(0, "x1", "bfa1_own", "bfasum", 0)
+    b.read(0, "x1", "bfb1_own", "bfbsum", 0)
+    b.read(0, "x1", "na1_future", "nasum", 0)
+    b.read(0, "x1", "nb1_future", "nbsum", 0)
+    b.read(0, "x1", "d1", "d1", 0)
+    b.read(0, "x2", "d2", "d2", 0)
 
     for node, own, other in ((1, 1, 2), (2, 2, 1)):
-        b.read(node, "xf", "fsum", p.nf, "fsum", -1)
-        b.read(node, "xf", "bfasum", p.nf, "bfasum", -1)
-        b.read(node, "xf", "bfbsum", p.nf, "bfbsum", -1)
+        b.read(node, "xf", "fsum", "fsum", -1)
+        b.read(node, "xf", "bfasum", "bfasum", -1)
+        b.read(node, "xf", "bfbsum", "bfbsum", -1)
         b.combine(node, f"f{other}", "fsum", f"f{own}", -1)
         b.combine(node, f"bfa{other}", "bfasum", f"bfa{own}", -1)
         b.combine(node, f"bfb{other}", "bfbsum", f"bfb{own}", -1)
 
     for dest, cross, own, other in ((3, "x2", 1, 2), (4, "x1", 2, 1)):
-        b.sub(dest, cross, f"d{other}", p.nc, f"d{other}", 0)
-        b.read(dest, cross, f"f{own}_slot", p.nc, f"f{own}", -2)
-        b.read(dest, cross, f"bfa{own}_fwd", p.nc, f"bfa{own}", -2)
-        b.read(dest, cross, f"bfb{own}_fwd", p.nc, f"bfb{own}", -2)
-        b.read(dest, "xr", "d1_fwd", p.nr, "d1", -1)
-        b.read(dest, "xr", "d2_fwd", p.nr, "d2", -1)
-        b.read(dest, cross, f"na{other}_present", p.nc, f"na{own}", -1)
-        b.read(dest, cross, f"nb{other}_present", p.nc, f"nb{own}", -1)
+        b.sub(dest, cross, f"d{other}", f"d{other}", 0)
+        b.read(dest, cross, f"f{own}_slot", f"f{own}", -2)
+        b.read(dest, cross, f"bfa{own}_fwd", f"bfa{own}", -2)
+        b.read(dest, cross, f"bfb{own}_fwd", f"bfb{own}", -2)
+        b.read(dest, "xr", "d1_fwd", "d1", -1)
+        b.read(dest, "xr", "d2_fwd", "d2", -1)
+        b.read(dest, cross, f"na{other}_present", f"na{own}", -1)
+        b.read(dest, cross, f"nb{other}_present", f"nb{own}", -1)
 
 
 _BUILDERS = {

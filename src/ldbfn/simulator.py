@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .gf2 import BitVector, ChannelParams, NetworkInputs, NetworkOutputs, channel_step, channel_words
+from .gf2 import SENDERS, BitVector, ChannelParams, NetworkInputs, NetworkOutputs, channel_step, channel_words
 from .regions import Regime, frac_to_json
 from .schemes import (
     Read,
@@ -187,11 +187,7 @@ def validate_trace(text: str) -> bool:
     params = ChannelParams(header["nc"], header["ns"], header["nr"], header["nf"])
     uses = sorted({t for (t, _) in signals})
     for t in uses:
-        inputs = NetworkInputs(
-            x1=signals[(t, "x1")], x2=signals[(t, "x2")],
-            xr=signals[(t, "xr")], xf=signals[(t, "xf")],
-        )
-        outs = channel_step(inputs, params)
+        outs = channel_step(NetworkInputs(**{key: signals[(t, key)] for key in SENDERS}), params)
         for name in ("y0", "y1", "y2", "y3", "y4"):
             if signals[(t, name)] != getattr(outs, name):
                 return False
@@ -216,20 +212,14 @@ class RunReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "params": {
-                "nc": self.params.nc, "ns": self.params.ns,
-                "nr": self.params.nr, "nf": self.params.nf,
-            },
+            "params": asdict(self.params),
             "regime": self.regime.value,
             "target": list(self.target),
             "blocks": self.n_blocks,
             "delta": self.delta,
             "uses": self.n_uses,
             "errors": len(self.errors),
-            "error_detail": [
-                {"use": e.use, "node": e.node, "stream": e.stream, "block": e.block}
-                for e in self.errors
-            ],
+            "error_detail": [dict(zip(e._fields, e[:4])) for e in self.errors],  # without ok
             "delivered_bits": list(self.delivered_bits),
             "achieved": [frac_to_json(a) for a in self.achieved],
             "feedback_levels": self.feedback_levels,
@@ -256,7 +246,7 @@ def _compile_transmit(scheme: Scheme, stores: list[dict[str, list]], q: int) -> 
     """Per signal, its sender's bindings as (stream, offset, blocks, right shift, mask, left shift)."""
     lengths = scheme.stream_lengths
     signals = []
-    for key, node in (("x1", 1), ("x2", 2), ("xr", 0), ("xf", 0)):
+    for key, node in SENDERS.items():
         plan = scheme.transmit[key]
         bindings = []
         for b in plan.bindings:
@@ -364,8 +354,6 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
                             f"encoder for {key} needs {stream}[{idx}] at use {t} but it was never stored"
                         )
                     word ^= (val >> down & mask) << up
-            if word >> q:
-                raise ValueError(f"word {word} does not fit in {q} bits")
             sent.append(word)
         ws = (*sent, *channel_words(params, *sent))
         words.append(ws)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,19 @@ class TestFmCheck:
         code, out, err = run_cli(capsys, "fm-check", "--system", str(fixture))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "combinations" in err
+
+    def test_point_limit_exit_two_before_the_oracle(self, capsys, tmp_path):
+        fixture = tmp_path / "line.txt"
+        fixture.write_text("x <= 200000\nR1 = x\nR2 = x\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "fm-check", "--system", str(fixture))
+        assert time.perf_counter() - start < 0.5
+        assert_error_line(code, out, err)
+        assert err == f"error: {fixture}: the projection has more than {cli.FM_CHECK_POINT_LIMIT} integer points\n"
+        # Exactly the limit still runs: x = 0..9999 is 10,000 points.
+        fixture.write_text(f"x <= {cli.FM_CHECK_POINT_LIMIT - 1}\nR1 = x\nR2 = x\n")
+        code, out, _ = run_cli(capsys, "fm-check", "--system", str(fixture))
+        assert code == 0 and len(json.loads(out)["oracle_points"]) == cli.FM_CHECK_POINT_LIMIT
 
     def test_negative_oracle_bound_is_usage_error(self, capsys):
         err = assert_usage_error(

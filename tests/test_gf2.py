@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from ldbfn import (
     pack,
     unpack,
 )
+from ldbfn.gf2 import LINKS, SENDERS, land
 
 
 def shift_matrix_oracle(x: BitVector, n: int) -> BitVector:
@@ -245,3 +248,33 @@ class TestParams:
             ChannelParams(True, 0, 0, 0)
         with pytest.raises(ValueError, match="^nf must be"):
             ChannelParams(1, 1, 1, False)
+
+
+class TestTopology:
+    def test_links_and_land_describe_the_channel(self):
+        # One-hot probes: each level of each signal arrives at each node where land says, from the
+        # strength LINKS names, and nowhere at or below the noise floor or at a pair it does not list.
+        for tup in product(range(5), repeat=4):
+            p = ChannelParams(*tup)
+            q = p.q
+            for signal, level in product(SENDERS, range(q)):
+                words = {s: 1 << (q - 1 - level) if s == signal else 0 for s in SENDERS}
+                outs = channel_step(NetworkInputs(**{s: BitVector.from_word(w, q) for s, w in words.items()}), p)
+                for node in range(5):
+                    link = LINKS.get((node, signal))
+                    heard = link is not None and level < getattr(p, link)
+                    pos, vis = land(p, node, signal, level, 1)
+                    assert (pos, vis) == ((q - getattr(p, link) + level, 1) if heard else (0, 0))
+                    word = getattr(outs, f"y{node}").word
+                    assert word == (1 << (q - 1 - pos) if heard else 0), (tup, signal, level, node)
+
+    def test_land_cuts_a_block_at_the_noise_floor(self):
+        p = ChannelParams(2, 1, 3, 0)  # q = 3; the relay hears x1's top level, destination 3 all of xr
+        assert land(p, 0, "x1", 0, 2) == (2, 1)
+        assert land(p, 0, "x1", 1, 2) == (0, 0)
+        assert land(p, 3, "xr", 1, 2) == (1, 2)
+        assert land(p, 3, "x1", 0, 3) == (0, 0)  # destination 3 does not hear source 1
+
+    def test_senders_are_the_inputs_in_order_and_hear_nothing_they_send(self):
+        assert tuple(SENDERS) == tuple(NetworkInputs.__dataclass_fields__)
+        assert all(SENDERS[signal] != node for node, signal in LINKS)

@@ -265,7 +265,7 @@ class TestBuildScheme:
         b.pair("c", 2)
         b.tx("x1", "c1", 0, 2, "c1", 0)
         with pytest.raises(SchemeError) as info:
-            b.read(0, "x1", "c1", p.ns, "csum", 0)
+            b.read(0, "x1", "c1", "csum", 0)
         assert str(info.value) == "slot c1 only partially visible at node 0 (gain 1); a read would be ambiguous"
         assert b.plans[0] == []
 
