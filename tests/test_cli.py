@@ -260,12 +260,18 @@ class TestFmCheck:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "combinations" in err
 
-    def test_point_limit_exit_two_before_the_oracle(self, capsys, tmp_path):
+    def test_point_limit_exit_two_before_the_oracle(self, capsys, tmp_path, monkeypatch):
+        def no_list(*args, **kwargs):
+            raise AssertionError("fm-check listed points past the limit")
+
         fixture = tmp_path / "line.txt"
         fixture.write_text("x <= 200000\nR1 = x\nR2 = x\n")
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "fm-check", "--system", str(fixture))
-        assert time.perf_counter() - start < 0.5
+        with monkeypatch.context() as m:
+            m.setattr(cli, "enumerate_integer_projection", no_list)
+            m.setattr(cli, "integer_points", no_list)
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "fm-check", "--system", str(fixture))
+            assert time.perf_counter() - start < 0.5
         assert_error_line(code, out, err)
         assert err == f"error: {fixture}: the projection has more than {cli.FM_CHECK_POINT_LIMIT} integer points\n"
         # Exactly the limit still runs: x = 0..9999 is 10,000 points.
