@@ -12,7 +12,7 @@ import json
 import sys
 from contextlib import ExitStack, nullcontext
 from dataclasses import asdict
-from itertools import accumulate, product
+from itertools import product
 
 from .fm import (
     EnumerationLimitError,
@@ -198,13 +198,15 @@ def cmd_fm_check(args) -> int:
         return 1
     if not is_bounded(projected):
         return _input_error(f"{args.system}: the projection onto (R1, R2) is unbounded")
-    if any(n > FM_CHECK_POINT_LIMIT for n in accumulate(len(c) for _, c in integer_columns(projected))):
-        return _input_error(f"{args.system}: the projection has more than {FM_CHECK_POINT_LIMIT} integer points")
+    inside: set[tuple[int, int]] = set()
+    for r1, column in integer_columns(projected):
+        if len(inside) + len(column) > FM_CHECK_POINT_LIMIT:
+            return _input_error(f"{args.system}: the projection has more than {FM_CHECK_POINT_LIMIT} integer points")
+        inside.update((r1, r2) for r2 in column)
     try:
         oracle = enumerate_integer_projection(system, r1_def, r2_def, bound=args.oracle_bound)
     except EnumerationLimitError as e:
         return _input_error(f"{args.system}: {e}")
-    inside = integer_points(projected)
     payload = {
         "system_vars": list(system.vars),
         "projection": region_to_jsonable(projected),

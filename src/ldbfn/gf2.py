@@ -161,8 +161,8 @@ def land(params: ChannelParams, node: int, signal: str, start: int, length: int)
     return (params.q - g + start, vis) if vis > 0 else (0, 0)
 
 
-def channel_words(params: ChannelParams, x1: int, x2: int, xr: int, xf: int) -> tuple[int, int, int, int]:
-    """One noiseless use of the network on q-bit words; returns (y0, y1, y3, y4).
+def channel_words(params: ChannelParams, x1: int, x2: int, xr: int, xf: int) -> tuple[int, int, int, int, int]:
+    """One noiseless use of the network on q-bit words; returns (y0, y1, y2, y3, y4), node k's at index k.
 
     y0 = S^(q-ns) (x1 + x2)
     y1 = y2 = S^(q-nf) xf
@@ -172,7 +172,8 @@ def channel_words(params: ChannelParams, x1: int, x2: int, xr: int, xf: int) -> 
     q = params.q
     cross = q - params.nc
     relay = xr >> (q - params.nr)
-    return (x1 ^ x2) >> (q - params.ns), xf >> (q - params.nf), (x2 >> cross) ^ relay, (x1 >> cross) ^ relay
+    fb = xf >> (q - params.nf)
+    return (x1 ^ x2) >> (q - params.ns), fb, fb, (x2 >> cross) ^ relay, (x1 >> cross) ^ relay
 
 
 def channel_step(inputs: NetworkInputs, params: ChannelParams) -> NetworkOutputs:
@@ -181,11 +182,8 @@ def channel_step(inputs: NetworkInputs, params: ChannelParams) -> NetworkOutputs
     if not inputs.x1.q == inputs.x2.q == inputs.xr.q == inputs.xf.q == q:
         name = next(n for n in SENDERS if getattr(inputs, n).q != q)
         raise ValueError(f"{name} must have length q={q}")
-    y0, yf, y3, y4 = (
-        BitVector.from_word(w, q)
-        for w in channel_words(params, inputs.x1.word, inputs.x2.word, inputs.xr.word, inputs.xf.word)
-    )
-    return NetworkOutputs(y0=y0, y1=yf, y2=yf, y3=y3, y4=y4)
+    words = channel_words(params, inputs.x1.word, inputs.x2.word, inputs.xr.word, inputs.xf.word)
+    return NetworkOutputs(*(BitVector.from_word(w, q) for w in words))
 
 
 class Slot(NamedTuple):

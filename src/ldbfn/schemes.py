@@ -97,7 +97,9 @@ _NS_NC, _NR_NC = (-1, 1, 0, 0), (-1, 0, 1, 0)
 # them, the rows' bounds, which are non-negative wherever the regime applies,
 # and the rows of R1 = r1 . vars and R2 = r2 . vars.  Every per-regime view
 # (constraint system, rate definitions, allocation chain, oracle points, the
-# vector the builders unpack) derives from it, in this variable order.
+# vector the builders unpack) derives from it, in this variable order; the
+# feedback levels an allocation occupies are its largest left side among the
+# rows bounded by nf.
 _SYSTEMS = {
     Regime.A: (
         ("Rc1", "Rc2", "R1d", "R2d"),
@@ -165,12 +167,6 @@ def rate_definitions(regime: Regime) -> tuple[dict[str, int], dict[str, int]]:
     return tuple({v: c for v, c in zip(vars, r) if c} for r in rates)
 
 
-def _rate_pair(regime: Regime, xs: tuple[int, ...]) -> tuple[int, int]:
-    """(R1, R2) of the component rates ``xs``, aligned with the regime's variables."""
-    r1, r2 = _SYSTEMS[regime][3]
-    return sum(map(mul, r1, xs)), sum(map(mul, r2, xs))
-
-
 def _alloc_rows(regime: Regime) -> list:
     """The regime's rows in ``ALLOC_ORDER`` with bounds over (nc, ns, nr, nf, t1, t2), R1 = t1, R2 = t2."""
     vars, rows, forms, rates = _SYSTEMS[regime]
@@ -198,10 +194,23 @@ def enumerated_points(regime: Regime, p: ChannelParams) -> set[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class RateAllocation:
-    """Feasible integer assignment of the regime's component rates."""
+    """Feasible integer assignment of the regime's component rates.
+
+    The names and values are checked once, when the instance is made; ``xs``
+    holds the values in the order of the regime's variables, a variable not
+    given read as 0.
+    """
 
     regime: Regime
     values: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        vars = _SYSTEMS[self.regime][0]
+        for name, value in self.values:
+            if name not in vars or type(value) is not int or value < 0:
+                raise ValueError(f"{name} = {value} is not a non-negative integer value of a regime {self.regime.value} variable")
+        get = self.as_dict().get
+        object.__setattr__(self, "xs", tuple(get(v, 0) for v in vars))
 
     @classmethod
     def of(cls, regime: Regime, values: Mapping[str, int]) -> "RateAllocation":
@@ -210,28 +219,16 @@ class RateAllocation:
     def as_dict(self) -> dict[str, int]:
         return dict(self.values)
 
-    def _checked(self) -> dict[str, int]:
-        """The values by name, each a non-negative int of a regime variable, else ValueError."""
-        vars = _SYSTEMS[self.regime][0]
-        for name, value in self.values:
-            if name not in vars or type(value) is not int or value < 0:
-                raise ValueError(f"{name} = {value} is not a non-negative integer value of a regime {self.regime.value} variable")
-        return self.as_dict()
-
-    def _vector(self) -> tuple[int, ...]:
-        """The values aligned with the regime's variables; one not given reads 0."""
-        d = self._checked()
-        return tuple(d.get(v, 0) for v in _SYSTEMS[self.regime][0])
-
     def rate_pair(self) -> tuple[int, int]:
-        return _rate_pair(self.regime, self._vector())
+        r1, r2 = _SYSTEMS[self.regime][3]
+        return sum(map(mul, r1, self.xs)), sum(map(mul, r2, self.xs))
 
     @property
     def feedback_levels(self) -> int:
-        """Feedback levels the scheme occupies per use: ``max(R1f, R2f) + Rbarf + Rbarf1 + Rbarf2``,
-        a variable the regime lacks read as 0 (the extent of its ``xf`` layout)."""
-        get = self._checked().get
-        return max(get("R1f", 0), get("R2f", 0)) + get("Rbarf", 0) + get("Rbarf1", 0) + get("Rbarf2", 0)
+        """Feedback levels the scheme occupies per use (the extent of its ``xf`` layout): the largest
+        left side among the regime's rows bounded by ``nf``, 0 in a regime without one."""
+        _, rows, forms, _ = _SYSTEMS[self.regime]
+        return max((sum(map(mul, row, self.xs)) for row, form in zip(rows, forms) if form == _NF), default=0)
 
 
 def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
@@ -415,10 +412,10 @@ class Scheme:
 class _Builder:
     """Accumulates streams, slots, bindings and decode steps for one scheme."""
 
-    def __init__(self, p: ChannelParams, alloc: RateAllocation, xs: tuple[int, ...]):
+    def __init__(self, p: ChannelParams, alloc: RateAllocation):
         self.p = p
         self.alloc = alloc
-        self.rates = _rate_pair(alloc.regime, xs)
+        self.rates = alloc.rate_pair()
         self.streams: dict[str, int] = {}
         self.sums: dict[str, tuple[str, ...]] = {}
         self.named: dict[str, dict[str, Slot]] = {k: {} for k in SENDERS}
@@ -771,11 +768,10 @@ _BUILDERS = {
 def build_scheme(p: ChannelParams, alloc: RateAllocation) -> Scheme:
     """Materialize the full per-use signal plan for a feasible allocation."""
     _require_regime(alloc.regime, p)
-    xs = alloc._vector()
     vars, rows = _SYSTEMS[alloc.regime][:2]
     for row, bound in zip(rows, _bounds(alloc.regime, p)):
-        if sum(map(mul, row, xs)) > bound:
+        if sum(map(mul, row, alloc.xs)) > bound:
             raise SchemeError(f"allocation {alloc.as_dict()} violates {LinearIneq.of(dict(zip(vars, row)), bound)}")
-    b = _Builder(p, alloc, xs)
-    _BUILDERS[alloc.regime](b, p, xs)
+    b = _Builder(p, alloc)
+    _BUILDERS[alloc.regime](b, p, alloc.xs)
     return b.build()

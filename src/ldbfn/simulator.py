@@ -100,23 +100,21 @@ class TraceStep:
     outputs: NetworkOutputs
 
 
-_DUMP_USE = "\n".join((
-    "use={0} node=1 x1={1}", "use={0} node=2 x2={2}", "use={0} node=0 xr={3}",
-    "use={0} node=0 xf={4}", "use={0} node=0 y0={5}", "use={0} node=1 y1={6}",
-    "use={0} node=2 y2={6}", "use={0} node=3 y3={7}", "use={0} node=4 y4={8}",
-))
+# One use's dump lines: the four signals in SENDERS order, then node k's received word.
+_DUMP_USE = "\n".join([f"use={{0}} node={node} {key}={{{i}}}" for i, (key, node) in enumerate(SENDERS.items(), 1)]
+                      + [f"use={{0}} node={k} y{k}={{{k + 5}}}" for k in range(5)])
 
 
 @dataclass(frozen=True)
 class Trace:
     """Complete record of a run: the signal words of every use plus decode events.
 
-    ``words[t - 1]`` holds use t's q-bit words ``(x1, x2, xr, xf, y0, y1, y3,
-    y4)``, level 1 the most significant bit; y2 equals y1 and is not stored.
-    ``decodes`` holds every decode as a plain ``(use, node, stream, block,
-    ok)`` tuple, in the order the nodes decoded.  ``steps`` and ``events``
-    rebuild the uses as vectors and the decodes as :class:`DecodeEvent` on
-    access.
+    ``words[t - 1]`` holds use t's q-bit words ``(x1, x2, xr, xf, y0, y1, y2,
+    y3, y4)``, the signals in :data:`SENDERS` order, then node k's received
+    word at index 4 + k; level 1 is the most significant bit.  ``decodes``
+    holds every decode as a plain ``(use, node, stream, block, ok)`` tuple, in
+    the order the nodes decoded.  ``steps`` and ``events`` rebuild the uses as
+    vectors and the decodes as :class:`DecodeEvent` on access.
     """
 
     params: ChannelParams
@@ -135,8 +133,8 @@ class Trace:
         q = self.params.q
         steps = []
         for t, ws in enumerate(self.words, 1):
-            x1, x2, xr, xf, y0, y1, y3, y4 = (BitVector.from_word(w, q) for w in ws)
-            steps.append(TraceStep(t, NetworkInputs(x1, x2, xr, xf), NetworkOutputs(y0, y1, y1, y3, y4)))
+            vs = [BitVector.from_word(w, q) for w in ws]
+            steps.append(TraceStep(t, NetworkInputs(*vs[:4]), NetworkOutputs(*vs[4:])))
         return tuple(steps)
 
     def dump(self) -> str:
@@ -337,9 +335,9 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
         for (stream, idx), blocks in decoded.items():
             decodes.append((t, node, stream, idx, blocks[idx] == truth[stream][idx]))
 
-    # (node, index of its received word in a use's words); a node without a plan is skipped
-    forward = [(node, col) for node, col in ((0, 4), (1, 5), (2, 5)) if plans[node]]
-    backward = [(node, col) for node, col in ((3, 6), (4, 7)) if plans[node]]
+    # A node without a plan is skipped; node k's received word is ws[4 + k].
+    forward = [node for node in (0, 1, 2) if plans[node]]
+    backward = [node for node in (3, 4) if plans[node]]
     words: list[tuple[int, ...]] = []
     for t in range(1, n_uses + 1):
         sent = []
@@ -357,13 +355,13 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
             sent.append(word)
         ws = (*sent, *channel_words(params, *sent))
         words.append(ws)
-        for node, col in forward:
-            decode(node, t, ws[col])
+        for node in forward:
+            decode(node, t, ws[4 + node])
 
     for t in range(n_uses, 0, -1):
         ws = words[t - 1]
-        for node, col in backward:
-            decode(node, t, ws[col])
+        for node in backward:
+            decode(node, t, ws[4 + node])
 
     errors = [DecodeEvent._make(d) for d in decodes if not d[4]]
     delivered = [0, 0]

@@ -37,6 +37,56 @@ def scheme_for(params, corner):
     return build_scheme(params, allocate(params, corner))
 
 
+def unit_messages(scheme, n_blocks):
+    """The zero message, then one message per message bit with only that bit set."""
+    streams = sorted(scheme.message_streams())
+    zero = {s: (0,) * n_blocks for s in streams}
+    yield simulator.MessageSet(n_blocks, 0, zero)
+    for s in streams:
+        for i in range(n_blocks):
+            for bit in range(scheme.stream_lengths[s]):
+                yield simulator.MessageSet(n_blocks, 0, {**zero, s: zero[s][:i] + (1 << bit,) + zero[s][i + 1:]})
+
+
+def failing_messages(scheme, n_blocks=8):
+    """Run ``scheme`` on the zero message and on every unit message: (runs, failing message sets).
+
+    ``run`` only shifts, masks and XORs message words, and the ground truth of
+    a block is an XOR of message words too.  So every value a node decodes,
+    and its difference from the truth, is a GF(2)-linear function of the
+    message bits, and a linear function is zero for every message exactly when
+    it is zero for each unit message.  A scheme is therefore zero-error for
+    every message exactly when it is for each of these; the zero message also
+    covers what does not depend on the message, such as a block that is never
+    decoded.  ``simulator.generate_messages`` is patched for the duration, the
+    seed of each run naming its message set.
+    """
+    messages = list(unit_messages(scheme, n_blocks))
+    expected = (n_blocks * scheme.rates[0], n_blocks * scheme.rates[1])
+    failing = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulator, "generate_messages", lambda _scheme, _n, seed: messages[seed])
+        for seed, message in enumerate(messages):
+            _, report = run(scheme, n_blocks, seed)
+            if report.errors or report.delivered_bits != expected:
+                failing.append(message)
+    return len(messages), failing
+
+
+def every_message_failures(max_levels, n_blocks=8):
+    """:func:`failing_messages` for every lexmin corner of [0, max_levels]^4: (corners, runs, failures)."""
+    corners = runs = 0
+    failures = []
+    for levels in product(range(max_levels + 1), repeat=4):
+        p = ChannelParams(*levels)
+        for corner in integer_corners(p):
+            n, failing = failing_messages(scheme_for(p, corner), n_blocks)
+            corners += 1
+            runs += n
+            failures.extend((levels, corner, message) for message in failing)
+    return corners, runs, failures
+
+
 class TestRun:
     def test_showcase_corner_with_feedback(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (2, 1))
@@ -104,6 +154,14 @@ class TestNegativeControls:
         assert trace.dump().count(" FAIL\n") == 15
         assert report.to_jsonable()["error_detail"] == json.loads(ERROR_DETAIL_GOLDEN.read_text())
         assert report.errors == tuple(e for e in trace.events if not e.ok)
+
+    def test_dropped_relay_subtract_fails_for_a_unit_message(self):
+        scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
+        drop = Subtract("f2", offset=-2, pos=0, length=1)
+        plans = {**scheme.decode_plans, 0: tuple(step for step in scheme.decode_plans[0] if step != drop)}
+        runs, failing = failing_messages(dataclasses.replace(scheme, decode_plans=plans))
+        assert runs == 1 + 8 * 3 and failing
+        assert failing_messages(scheme) == (runs, [])
 
     def test_undecoded_blocks_are_reported_with_use_zero(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
@@ -212,6 +270,10 @@ class TestPrng:
 
 
 class TestSweep:
+    def test_lexmin_corners_are_zero_error_for_every_message(self):
+        corners, runs, failures = every_message_failures(3)
+        assert (corners, runs, failures) == (756, 8628, [])
+
     def test_showcase_has_five_corners(self):
         assert len(integer_corners(ChannelParams(2, 3, 1, 1))) == 5
 
