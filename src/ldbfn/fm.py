@@ -31,9 +31,13 @@ other pruning happens between steps, since dropping a dominated row could
 break that argument; the final 2-D :func:`canonical_region` removes what is
 left over.
 
-A brute-force companion, :func:`enumerate_rows`, walks every non-negative
+A brute-force companion, :func:`walk_points`, walks every non-negative
 integer assignment and records the achieved rate pairs.  It is
 intentionally independent of the elimination path and serves as its oracle.
+What the walk needs of the coefficients alone, a :func:`walk_table`, is built
+once per set of rows: the walk order, most constrained variable first (by
+descending sum of positive coefficients, ties by index), and the rows'
+columns in that order.  A walk then computes only what the bounds set.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import re
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .regions import RateRegion, canonical_region
 
@@ -262,49 +266,72 @@ def enumerate_integer_projection(
     r2_def: Mapping[str, int],
     bound: int | None = None,
 ) -> set[tuple[int, int]]:
-    """Ground-truth oracle: the (R1, R2) pairs :func:`enumerate_rows` finds, ``bound`` by default
+    """Ground-truth oracle: the (R1, R2) pairs :func:`walk_points` finds, ``bound`` by default
     the largest inequality bound as written."""
     rows, r1, r2 = _as_rows(system, r1_def, r2_def)
     if bound is None:
         bound = max([0] + [q.bound for q in system.ineqs])
-    return enumerate_rows(rows, r1, r2, bound)
+    return walk_points(walk_table([coeffs for coeffs, _ in rows], r1, r2), [b for _, (b,) in rows], bound)
 
 
-def enumerate_rows(rows: list[Row], r1: tuple[int, ...], r2: tuple[int, ...], bound: int) -> set[tuple[int, int]]:
-    """The (R1, R2) = (r1 . x, r2 . x) of every integer x in [0, bound]^n meeting ``rows``.
+class WalkTable(NamedTuple):
+    """What the oracle walk needs of the coefficient rows alone, per walk position (see :func:`walk_table`)."""
+
+    order: tuple[int, ...]  # the variable walked at each position
+    columns: tuple[tuple[int, ...], ...]  # the rows' coefficients on it
+    rates: tuple[tuple[int, int], ...]  # its R1 and R2 coefficients
+    capping: tuple[tuple[tuple[int, int], ...], ...]  # (row, c) of each row without a negative coefficient, c > 0
+    terms: tuple[tuple[tuple[int, int, int], ...], ...] | None  # (row, c, 0) if no row has a negative coefficient
+
+
+def walk_table(coeffs: Sequence[tuple[int, ...]], r1: tuple[int, ...], r2: tuple[int, ...]) -> WalkTable:
+    """The walk table of rows ``coeffs . x <= bound`` and R1 = r1 . x, R2 = r2 . x.
+
+    The most constrained variable goes first: by descending sum of its positive
+    coefficients, ties by index.  Its rows then cap the values early, and the
+    point set does not depend on the order."""
+    order = tuple(sorted(range(len(r1)), key=lambda i: -sum(row[i] for row in coeffs if row[i] > 0)))
+    columns = tuple(tuple(row[i] for row in coeffs) for i in order)
+    nonneg = [min(row, default=0) >= 0 for row in coeffs]
+    return WalkTable(
+        order, columns, tuple((r1[i], r2[i]) for i in order),
+        tuple(tuple((k, c) for k, c in enumerate(column) if c > 0 and nonneg[k]) for column in columns),
+        tuple(tuple((k, c, 0) for k, c in enumerate(column) if c) for column in columns) if all(nonneg) else None,
+    )
+
+
+def walk_points(table: WalkTable, bounds: list[int], bound: int) -> set[tuple[int, int]]:
+    """The (R1, R2) = (r1 . x, r2 . x) of every integer x in [0, bound]^n meeting the table's rows
+    with these ``bounds``.
 
     Depth-first over one interval per variable: given the slacks the earlier
-    values leave, the values of variable i that keep every row completable
-    form an interval, so exactly the satisfying assignments are visited."""
-    nv = len(r1)
-    nonneg = [(coeffs, b) for coeffs, (b,) in rows if all(x >= 0 for x in coeffs)]
-    caps = []
-    for i in range(nv):
-        cap = bound
-        for coeffs, b in nonneg:
-            c = coeffs[i]
-            if c > 0:
-                cap = min(cap, b // c if b >= 0 else -1)
-        caps.append(max(cap, -1))
+    values leave, the values of the next variable that keep every row
+    completable form an interval, so exactly the satisfying assignments are
+    visited."""
+    columns, rates = table.columns, table.rates
+    nv = len(columns)
+    caps = [max(-1, min([bound, *(bounds[k] // c for k, c in capping)])) for capping in table.capping]
     if prod(cap + 1 for cap in caps) > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"enumeration needs more than {ENUMERATION_LIMIT} combinations; use a smaller instance or bound"
         )
 
+    # terms[i]: (row, coefficient, rest) of each row that has the i-th variable, where rest is the
+    # smallest contribution the later variables can make to the row: 0 unless a coefficient is
+    # negative, which may still lower the sum, so pruning stays exact.  ``rest`` ends as each row's
+    # rest before the first variable, which its bound must meet for any point to exist.
+    terms, rest = table.terms, [0] * len(bounds)
+    if terms is None:
+        terms = []
+        for column, cap in zip(reversed(columns), reversed(caps)):
+            terms.insert(0, tuple((k, c, rest[k]) for k, c in enumerate(column) if c))
+            rest = [r + c * cap if c < 0 else r for r, c in zip(rest, column)]
     achieved: set[tuple[int, int]] = set()
-    # columns[i]: the rows' coefficients on variable i.  rest[i]: per row, the smallest contribution
-    # variables i.. can make (negative coefficients may still lower the sum, so pruning stays exact).
-    columns = [tuple(coeffs[i] for coeffs, _ in rows) for i in range(nv)]
-    rest = [(0,) * len(rows)]
-    for i in reversed(range(nv)):
-        rest.insert(0, tuple(r + c * caps[i] if c < 0 else r for r, c in zip(rest[0], columns[i])))
-    # terms[i]: (row, coefficient, rest[i + 1] entry) of each row that has variable i.
-    terms = [tuple((k, c, m) for k, (c, m) in enumerate(zip(columns[i], rest[i + 1])) if c) for i in range(nv)]
 
     def walk(i: int, slacks: list[int], t1: int, t2: int) -> None:
         # Row k stays completable iff val * c <= slacks[k] - m, an upper end for val if c > 0 and a
-        # lower one if c < 0.  A row without variable i needs nothing: its slack already met rest[i],
-        # which equals rest[i + 1] there.
+        # lower one if c < 0.  A row without variable i needs nothing: its slack already met its
+        # rest before i, which equals its rest after i.
         lo, hi = 0, caps[i]
         for k, c, m in terms[i]:
             if c > 0:
@@ -312,7 +339,7 @@ def enumerate_rows(rows: list[Row], r1: tuple[int, ...], r2: tuple[int, ...], bo
                     hi = (slacks[k] - m) // c
             elif -((slacks[k] - m) // -c) > lo:
                 lo = -((slacks[k] - m) // -c)
-        a, b = r1[i], r2[i]
+        a, b = rates[i]
         if i + 1 == nv:
             achieved.update([(t1 + a * val, t2 + b * val) for val in range(lo, hi + 1)])
             return
@@ -320,8 +347,7 @@ def enumerate_rows(rows: list[Row], r1: tuple[int, ...], r2: tuple[int, ...], bo
         for val in range(lo, hi + 1):
             walk(i + 1, [s - val * c for s, c in zip(slacks, column)], t1 + a * val, t2 + b * val)
 
-    bounds = [b for _, (b,) in rows]
-    if all(b >= m for b, m in zip(bounds, rest[0])):
+    if all(b >= m for b, m in zip(bounds, rest)):
         if nv:
             walk(0, bounds, 0, 0)
         else:

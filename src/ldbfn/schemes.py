@@ -50,8 +50,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, NamedTuple
 
-from .fm import (EmptyIntervalError, IneqSystem, LinearIneq, enumerate_rows, evaluate_projection, integer_lexmin,
-                 lexmin_chain, with_rates)
+from .fm import (EmptyIntervalError, IneqSystem, LinearIneq, evaluate_projection, integer_lexmin, lexmin_chain,
+                 walk_points, walk_table, with_rates)
 from .gf2 import SENDERS, ChannelParams, SignalLayout, Slot, gain, land
 from .regions import (RateRegion, Regime, applicable_regimes, achievable_region, corner_vertices, hs,
                       outer_bound_region, regime_of, sum_capacity)
@@ -176,6 +176,7 @@ def _alloc_rows(regime: Regime) -> list:
 
 
 _CHAINS = {r: lexmin_chain(ALLOC_ORDER[r], _alloc_rows(r)) for r in Regime}
+_WALKS = {r: walk_table(_SYSTEMS[r][1], *_SYSTEMS[r][3]) for r in Regime}
 
 
 def projected_region(regime: Regime, p: ChannelParams) -> RateRegion:
@@ -185,11 +186,10 @@ def projected_region(regime: Regime, p: ChannelParams) -> RateRegion:
 
 
 def enumerated_points(regime: Regime, p: ChannelParams) -> set[tuple[int, int]]:
-    """The enumeration oracle's (R1, R2) points of ``constraint_system(regime, p)``, walked on the regime's rows."""
+    """The enumeration oracle's (R1, R2) points of ``constraint_system(regime, p)``, walked on the regime's table."""
     _require_regime(regime, p)
-    _, rows, _, (r1, r2) = _SYSTEMS[regime]
     bounds = _bounds(regime, p)
-    return enumerate_rows([(row, (b,)) for row, b in zip(rows, bounds)], r1, r2, max([0, *bounds]))
+    return walk_points(_WALKS[regime], bounds, max([0, *bounds]))
 
 
 @dataclass(frozen=True)

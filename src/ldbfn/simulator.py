@@ -205,8 +205,12 @@ class RunReport:
     n_uses: int
     errors: tuple[DecodeEvent, ...]
     delivered_bits: tuple[int, int]
-    achieved: tuple[Fraction, Fraction]
     feedback_levels: int
+
+    @property
+    def achieved(self) -> tuple[Fraction, Fraction]:
+        """Delivered bits per channel use, per user."""
+        return Fraction(self.delivered_bits[0], self.n_uses), Fraction(self.delivered_bits[1], self.n_uses)
 
     def to_jsonable(self) -> dict:
         return {
@@ -391,7 +395,6 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
         n_uses=n_uses,
         errors=tuple(errors),
         delivered_bits=(delivered[0], delivered[1]),
-        achieved=(Fraction(delivered[0], n_uses), Fraction(delivered[1], n_uses)),
         feedback_levels=scheme.feedback_levels,
     )
     return trace, report

@@ -31,7 +31,7 @@ from ldbfn import (
     sum_capacity,
 )
 from ldbfn import cli, fm, schemes
-from ldbfn.fm import enumerate_integer_projection, lexmin_chain
+from ldbfn.fm import enumerate_integer_projection, lexmin_chain, walk_table
 from ldbfn.schemes import ALLOC_ORDER, Subtract, enumerated_points, projected_region
 
 SHOWCASE = ChannelParams(2, 3, 1, 1)
@@ -187,6 +187,8 @@ class TestInternalRows:
             for corner in integer_corners(p):
                 assert build_scheme(p, allocate(p, corner)).rates == corner
         assert {r: lexmin_chain(ALLOC_ORDER[r], schemes._alloc_rows(r)) for r in Regime} == schemes._CHAINS
+        assert {r: walk_table(schemes._SYSTEMS[r][1], *schemes._SYSTEMS[r][3]) for r in Regime} == schemes._WALKS
+        assert all(table.terms is not None for table in schemes._WALKS.values())  # no rest terms per call
 
     def test_enumerated_points_equal_the_api_oracle(self):
         ties = 0
