@@ -277,11 +277,9 @@ def enumerate_integer_projection(
 class WalkTable(NamedTuple):
     """What the oracle walk needs of the coefficient rows alone, per walk position (see :func:`walk_table`)."""
 
-    order: tuple[int, ...]  # the variable walked at each position
-    columns: tuple[tuple[int, ...], ...]  # the rows' coefficients on it
+    columns: tuple[tuple[int, ...], ...]  # the rows' coefficients on the variable walked there
     rates: tuple[tuple[int, int], ...]  # its R1 and R2 coefficients
     capping: tuple[tuple[tuple[int, int], ...], ...]  # (row, c) of each row without a negative coefficient, c > 0
-    terms: tuple[tuple[tuple[int, int, int], ...], ...] | None  # (row, c, 0) if no row has a negative coefficient
 
 
 def walk_table(coeffs: Sequence[tuple[int, ...]], r1: tuple[int, ...], r2: tuple[int, ...]) -> WalkTable:
@@ -294,9 +292,8 @@ def walk_table(coeffs: Sequence[tuple[int, ...]], r1: tuple[int, ...], r2: tuple
     columns = tuple(tuple(row[i] for row in coeffs) for i in order)
     nonneg = [min(row, default=0) >= 0 for row in coeffs]
     return WalkTable(
-        order, columns, tuple((r1[i], r2[i]) for i in order),
+        columns, tuple((r1[i], r2[i]) for i in order),
         tuple(tuple((k, c) for k, c in enumerate(column) if c > 0 and nonneg[k]) for column in columns),
-        tuple(tuple((k, c, 0) for k, c in enumerate(column) if c) for column in columns) if all(nonneg) else None,
     )
 
 
@@ -320,12 +317,10 @@ def walk_points(table: WalkTable, bounds: list[int], bound: int) -> set[tuple[in
     # smallest contribution the later variables can make to the row: 0 unless a coefficient is
     # negative, which may still lower the sum, so pruning stays exact.  ``rest`` ends as each row's
     # rest before the first variable, which its bound must meet for any point to exist.
-    terms, rest = table.terms, [0] * len(bounds)
-    if terms is None:
-        terms = []
-        for column, cap in zip(reversed(columns), reversed(caps)):
-            terms.insert(0, tuple((k, c, rest[k]) for k, c in enumerate(column) if c))
-            rest = [r + c * cap if c < 0 else r for r, c in zip(rest, column)]
+    terms, rest = [], [0] * len(bounds)
+    for column, cap in zip(reversed(columns), reversed(caps)):
+        terms.insert(0, tuple((k, c, rest[k]) for k, c in enumerate(column) if c))
+        rest = [r + c * cap if c < 0 else r for r, c in zip(rest, column)]
     achieved: set[tuple[int, int]] = set()
 
     def walk(i: int, slacks: list[int], t1: int, t2: int) -> None:

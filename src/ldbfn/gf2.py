@@ -217,17 +217,9 @@ class SignalLayout:
         if len(by_name) != len(self.slots):
             raise LayoutError(f"duplicate slot names in layout: {[s.name for s in self.slots]}")
         object.__setattr__(self, "_by_name", by_name)
-        # One sweep over the levels first, a zero-length slot counted at its start level; only a shared
-        # level can hide an intersection, so only then are the pairs compared, in order.
-        seen = shared = 0
         for s in self.slots:
             if s.length < 0 or s.start < 0 or s.stop > self.q:
                 raise LayoutError(f"slot {s.name} [{s.start},{s.stop}) outside [0,{self.q})")
-            bits = ((1 << s.length) - 1 or 1) << s.start
-            shared |= seen & bits
-            seen |= bits
-        if not shared:
-            return
         for i, a in enumerate(self.slots):
             for b in self.slots[i + 1:]:
                 if a.start < b.stop and b.start < a.stop:

@@ -154,17 +154,14 @@ class TestLayout:
         (3, (Slot("a", -1, 1),), "slot a [-1,0) outside [0,3)"),
         (3, (Slot("a", 0, -1),), "slot a [0,-1) outside [0,3)"),
         (4, (Slot("a", 0, 3), Slot("z", 1, 0)), "slots a and z intersect without a declared XOR overlap"),
+        # a-d and b-c both intersect; the first pair in slot order is named.
+        (6, (Slot("a", 0, 2), Slot("b", 3, 2), Slot("c", 4, 1), Slot("d", 1, 1)),
+         "slots a and d intersect without a declared XOR overlap"),
     ])
     def test_inconsistent_layout_rejected(self, q, slots, message):
         with pytest.raises(LayoutError) as exc:
             SignalLayout(q, slots)
         assert str(exc.value) == message
-
-    def test_first_intersecting_pair_in_slot_order_is_named(self):
-        # The level sweep meets b and c's shared level 4 before a and d's level 1; a and d come first in pair order.
-        with pytest.raises(LayoutError) as exc:
-            SignalLayout(6, (Slot("a", 0, 2), Slot("b", 3, 2), Slot("c", 4, 1), Slot("d", 1, 1)))
-        assert str(exc.value) == "slots a and d intersect without a declared XOR overlap"
 
     def test_empty_slot_on_an_edge_is_no_overlap(self):
         for start in (0, 3):
