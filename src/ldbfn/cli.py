@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import ExitStack, nullcontext
 from dataclasses import asdict
@@ -38,7 +39,7 @@ from .regions import (
 )
 from .schemes import (InfeasibleTargetError, allocate, build_scheme, enumerated_points, feedback_usage, net_gain,
                       projected_region)
-from .simulator import run, parallel_map
+from .simulator import run
 
 SWEEP_COLUMNS = ["nc", "ns", "nr", "nf", "regime", "sum_capacity", "net_gain", "thm2_equal", "corners"]
 # fm-check holds every integer point of the projection twice, its own and the oracle's, and prints
@@ -124,14 +125,12 @@ def cmd_simulate(args) -> int:
     return 0 if not report.errors else 1
 
 
-def _sweep_row(job: tuple[tuple[int, int, int, int], bool]) -> dict:
-    (nc, ns, nr, nf), with_oracle = job
-    p = ChannelParams(nc, ns, nr, nf)
+def _sweep_row(p: ChannelParams, with_oracle: bool) -> dict:
     regime = regime_of(p)
     outer = outer_bound_region(p)
     equal = regions_equal(achievable_region(p), outer)
     row = {
-        "nc": nc, "ns": ns, "nr": nr, "nf": nf,
+        "nc": p.nc, "ns": p.ns, "nr": p.nr, "nf": p.nf,
         "regime": regime.value,
         "sum_capacity": frac_to_json(sum_capacity(outer)),
         "net_gain": frac_to_json(net_gain(p)),
@@ -146,9 +145,9 @@ def _sweep_row(job: tuple[tuple[int, int, int, int], bool]) -> dict:
 
 
 def sweep_rows(max_level: int, with_oracle: bool = False):
-    """Rows in lattice order; LDBFN_THREADS > 1 fans tuples out to workers."""
-    jobs = [(tup, with_oracle) for tup in product(range(max_level + 1), repeat=4)]
-    yield from parallel_map(_sweep_row, jobs, chunksize=32)
+    """One row per tuple of [0, max_level]^4, in lattice order."""
+    for levels in product(range(max_level + 1), repeat=4):
+        yield _sweep_row(ChannelParams(*levels), with_oracle)
 
 
 def cmd_sweep(args) -> int:
@@ -183,10 +182,12 @@ def cmd_netgain(args) -> int:
 
 def cmd_fm_check(args) -> int:
     try:
-        with open(args.system) as fh:
+        with open(args.system, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         return _input_error(e)
+    except UnicodeDecodeError as e:
+        return _input_error(f"{args.system}: {e}")
     try:
         system, r1_def, r2_def = parse_system(text)
     except SystemParseError as e:
@@ -265,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BrokenPipeError:  # the reader closed stdout early; send the rest to devnull, so the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

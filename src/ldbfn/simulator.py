@@ -25,12 +25,11 @@ top level) the most significant bit.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .gf2 import SENDERS, BitVector, ChannelParams, NetworkInputs, NetworkOutputs, channel_step, channel_words
 from .regions import Regime, frac_to_json
@@ -434,42 +433,13 @@ def verify_params(p: ChannelParams, n_blocks: int = 8, seed: int = 1) -> list[Sw
     return _verify_corners(p, integer_corners(p), n_blocks, seed)
 
 
-def _verify_tuple(args: tuple) -> tuple[int, list[SweepFailure]]:
-    levels, n_blocks, seed = args
-    p = ChannelParams(*levels)
-    corners = integer_corners(p)
-    return len(corners), _verify_corners(p, corners, n_blocks, seed)
-
-
-def sweep_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LDBFN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable, jobs: Iterable, chunksize: int) -> Iterator:
-    """``map(fn, jobs)``; ``LDBFN_THREADS`` > 1 spreads it over worker processes."""
-    threads = sweep_threads()
-    if threads == 1:
-        yield from map(fn, jobs)
-        return
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, jobs, chunksize=chunksize)
-
-
 def verify_corner_sweep(max_levels: int = 3, n_blocks: int = 8, seed: int = 1) -> SweepSummary:
-    """Run every integer corner of every tuple on the lattice, expect zero errors.
-
-    ``LDBFN_THREADS`` > 1 distributes tuples over worker processes; each
-    (tuple, corner) job owns its state, so results merge by reduction.
-    """
-    jobs = [(levels, n_blocks, seed) for levels in product(range(max_levels + 1), repeat=4)]
+    """Run every integer corner of every tuple on the lattice, expect zero errors."""
     n_runs = 0
     failures: list[SweepFailure] = []
-    for count, fails in parallel_map(_verify_tuple, jobs, chunksize=16):
-        n_runs += count
-        failures.extend(fails)
-    return SweepSummary(n_params=len(jobs), n_runs=n_runs, failures=tuple(failures))
+    for levels in product(range(max_levels + 1), repeat=4):
+        p = ChannelParams(*levels)
+        corners = integer_corners(p)
+        n_runs += len(corners)
+        failures.extend(_verify_corners(p, corners, n_blocks, seed))
+    return SweepSummary(n_params=(max_levels + 1) ** 4, n_runs=n_runs, failures=tuple(failures))

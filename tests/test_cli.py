@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -134,13 +137,6 @@ class TestSweep:
         assert code == 0
         assert all(row["fm_oracle_equal"] == "True" for row in rows)
 
-    def test_worker_processes_give_the_serial_result(self, monkeypatch):
-        monkeypatch.delenv("LDBFN_THREADS", raising=False)
-        serial = list(cli.sweep_rows(2, with_oracle=True))
-        monkeypatch.setenv("LDBFN_THREADS", "2")
-        assert list(cli.sweep_rows(2, with_oracle=True)) == serial
-        assert len(serial) == 81 and all(row["fm_oracle_equal"] for row in serial)
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "sweep", "--max", "0", "--out", str(target))
@@ -150,6 +146,17 @@ class TestSweep:
     def test_unwritable_out_file(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "sweep", "--max", "0", "--out", str(tmp_path / "no" / "x.csv"))
         assert_error_line(code, out, err)
+
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # [0,6]^4 prints about 118 KB, more than a pipe holds, so the sweep writes after the close.
+        env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+        with subprocess.Popen([sys.executable, "-m", "ldbfn.cli", "sweep", "--max", "6"], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.readline().startswith("nc,ns,nr,nf,")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestNetGain:
@@ -181,7 +188,6 @@ class TestNetGain:
             raise AssertionError("the sweep built a scheme")
 
         allocated, allocate = [], schemes.allocate
-        monkeypatch.delenv("LDBFN_THREADS", raising=False)
         monkeypatch.setattr(schemes, "build_scheme", no_scheme)
         monkeypatch.setattr(schemes, "allocate", lambda *args: allocated.append(args) or allocate(*args))
         code, out, _ = run_cli(capsys, "sweep", "--max", "3", "--oracle")
@@ -236,6 +242,13 @@ class TestFmCheck:
     def test_missing_file_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "fm-check", "--system", "/nonexistent/x.txt")
         assert code == 2
+
+    def test_non_utf8_file_exit_two(self, capsys, tmp_path):
+        fixture = tmp_path / "latin1.txt"
+        fixture.write_bytes(b"x <= 1\n\xff\xfe\nR1 = x\nR2 = x\n")
+        code, out, err = run_cli(capsys, "fm-check", "--system", str(fixture))
+        assert_error_line(code, out, err)
+        assert f"{fixture}: 'utf-8' codec can't decode" in err
 
     def test_empty_system_is_origin(self, capsys, tmp_path):
         fixture = tmp_path / "empty.txt"

@@ -177,7 +177,6 @@ class TestInternalRows:
         def refuse(*args, **kwargs):
             raise AssertionError("an internal path built the API inequality form")
 
-        monkeypatch.delenv("LDBFN_THREADS", raising=False)  # keep every row in this process
         for owner, name in ((fm.LinearIneq, "__post_init__"), (fm.IneqSystem, "__post_init__"), (fm, "_to_rows"),
                             (schemes, "constraint_system"), (schemes, "rate_definitions")):
             monkeypatch.setattr(owner, name, refuse)

@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def run_script(name, *args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("LDBFN_THREADS", None)
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 

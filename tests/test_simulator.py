@@ -204,6 +204,16 @@ class TestTrace:
         assert validate_trace(text)
         assert all(ok for *_, ok in events)
 
+    @pytest.mark.parametrize("prefix", ["use=3 node=3 y3=", "use=3 node=1 x1="])
+    def test_one_flipped_bit_fails_the_channel_check(self, prefix):
+        # A received word, then a sent word's top level, which the relay hears (ns = q = 3).
+        trace, _ = run(scheme_for(ChannelParams(2, 3, 1, 1), (2, 1)), n_blocks=8, seed=4)
+        lines = trace.dump().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        flipped = "1" if lines[i][len(prefix)] == "0" else "0"
+        lines[i] = prefix + flipped + lines[i][len(prefix) + 1:]
+        assert not validate_trace("".join(lines))
+
     def test_events_match_the_dump_in_order(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
         drop = Subtract("f2", offset=-2, pos=0, length=1)
@@ -296,15 +306,9 @@ class TestSweep:
             calls.append(p)
             return integer_corners(p)
 
-        monkeypatch.delenv("LDBFN_THREADS", raising=False)
         monkeypatch.setattr(simulator, "integer_corners", counting)
         summary = verify_corner_sweep(2, n_blocks=4)
         assert summary.ok and len(calls) == summary.n_params == 81
-
-    def test_worker_processes_give_the_serial_result(self, monkeypatch):
-        serial = verify_corner_sweep(1, n_blocks=4)
-        monkeypatch.setenv("LDBFN_THREADS", "2")
-        assert verify_corner_sweep(1, n_blocks=4) == serial
 
     def test_import_loads_no_process_pool(self):
         src = Path(__file__).resolve().parent.parent / "src"
