@@ -9,6 +9,8 @@ recession rays once, when it is made.  So every comparison is an exact
 integer cross-multiplication and equality of polytopes is decided, never
 approximated.  :func:`canonicalize` keeps a full-dimensional region's
 facets and writes a point, segment or half-line as its capped line.
+Canonical regions are memoised on their tightened rows, so calls whose rows
+tighten alike share one region.
 ``fractions.Fraction`` appears only at the API: the :class:`Halfspace`
 fields (``RateRegion.halfspaces`` builds them when read), :class:`RatePoint`,
 :meth:`RateRegion.contains` and the JSON shapes.
@@ -85,7 +87,9 @@ class RateRegion:
     ``RateRegion(halfspaces)`` scales each halfspace to its primitive row, so
     ``halfspaces`` reads back that scaling.  ``vertices`` are the vertex triples
     in the order of :func:`corner_vertices` and ``rays`` the recession rays
-    (empty when bounded), both derived when the region is made.
+    (empty when bounded), both derived when the region is made.  Canonical
+    regions are memoised and shared between callers, so treat an instance as
+    immutable.
     """
 
     __slots__ = ("rows", "vertices", "rays")
@@ -247,6 +251,11 @@ def canonical_region(rows: Iterable[Row]) -> RateRegion:
     vertices or one vertex and a ray (Schrijver, *Theory of Linear and
     Integer Programming*, ch. 8).  A closed half-plane has one primitive row,
     so the rows kept are the primitive rows of the edges off the axes.
+
+    The rows are first tightened to one per reduced normal, and the region is
+    memoised on the sorted tuple of those rows: calls whose rows tighten
+    alike share one :class:`RateRegion`.  An empty region raises
+    :class:`RegionError` on every call, as ``lru_cache`` stores no exception.
     """
     tightest: dict[tuple[int, int], Row] = {}  # per reduced normal, the row of least b / gcd(a1, a2)
     for row in rows:
@@ -257,7 +266,12 @@ def canonical_region(rows: Iterable[Row]) -> RateRegion:
         kept = tightest.setdefault((a1 // g, a2 // g), row)
         if b * gcd(kept[0], kept[1]) < kept[2] * g:
             tightest[a1 // g, a2 // g] = row
-    rows = sorted(tightest.values())
+    return _canonical(tuple(sorted(tightest.values())))
+
+
+@lru_cache(maxsize=None)
+def _canonical(rows: tuple[Row, ...]) -> RateRegion:
+    """:func:`canonical_region` of its tightened rows, sorted: the vertex search and facet test."""
     scaled = _scaled(_vertex_triples(rows))
     if not scaled:
         raise RegionError("region is empty")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ldbfn import cli, schemes
+from ldbfn import ChannelParams, cli, schemes
 from ldbfn.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -137,6 +137,27 @@ class TestSweep:
         assert code == 0
         assert all(row["fm_oracle_equal"] == "True" for row in rows)
 
+    def test_one_unequal_region_exits_one(self, capsys, monkeypatch):
+        # Only the first tuple's Theorem 2 check fails, so the exit code must read every row.
+        calls, regions_equal = [], cli.regions_equal
+        monkeypatch.setattr(cli, "regions_equal",
+                            lambda a, b: bool(calls.append(a)) or len(calls) > 1 and regions_equal(a, b))
+        code, out, _ = run_cli(capsys, "sweep", "--max", "1", "--oracle")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 1 and len(rows) == 16
+        assert [row["thm2_equal"] for row in rows] == ["False"] + ["True"] * 15
+        assert all(row["fm_oracle_equal"] == "True" for row in rows)
+
+    def test_one_disagreeing_oracle_exits_one(self, capsys, monkeypatch):
+        enumerated_points = cli.enumerated_points
+        monkeypatch.setattr(cli, "enumerated_points", lambda regime, p: enumerated_points(regime, p)
+                            | ({(9, 9)} if p == ChannelParams(0, 0, 0, 0) else set()))
+        code, out, _ = run_cli(capsys, "sweep", "--max", "1", "--oracle")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 1 and len(rows) == 16
+        assert [row["fm_oracle_equal"] for row in rows] == ["False"] + ["True"] * 15
+        assert all(row["thm2_equal"] == "True" for row in rows)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "sweep", "--max", "0", "--out", str(target))
@@ -224,6 +245,11 @@ class TestFmCheck:
             tuple(p) for p in payload["oracle_points"]
         }
         assert extra  # the projection gained unreachable integer points
+
+    def test_infeasible_system_exit_one(self, capsys, tmp_path):
+        fixture = tmp_path / "infeasible.txt"
+        fixture.write_text("x + y <= -1\nR1 = x\nR2 = y\n")
+        assert run_cli(capsys, "fm-check", "--system", str(fixture)) == (1, '{"infeasible": true}\n', "")
 
     def test_parse_error_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -3,6 +3,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -26,6 +27,7 @@ from ldbfn import (
 )
 from ldbfn import regions
 from ldbfn.regions import RegionError, _recession_rays, _vertex_triples, canonical_region, hs
+from ldbfn.cli import sweep_rows
 from ldbfn.schemes import projected_region
 
 
@@ -125,8 +127,9 @@ class TestCanonicalize:
         # R1 >= 3/2 and R1 >= 3 share the half-plane normal (-1, 0): only R1 >= 3 reaches the vertex search.
         seen, vertex_triples = [], regions._vertex_triples
         monkeypatch.setattr(regions, "_vertex_triples", lambda rows: seen.append(rows) or vertex_triples(rows))
+        regions._canonical.cache_clear()
         assert canonical_region([(-2, 0, -3), (-1, 0, -3)]).rows == ((-1, 0, -3),)
-        assert seen == [[(-1, 0, -3)]]
+        assert seen == [((-1, 0, -3),)]
         with pytest.raises(RegionError, match="empty"):  # 0*R1 + 0*R2 <= -1
             canonical_region([(0, 0, -1), (1, 0, 2)])
 
@@ -182,6 +185,48 @@ class TestCanonicalize:
                 continue
             digest.update(repr((region.rows, region.vertices, sorted(region.rays))).encode())
         assert digest.hexdigest() == "78f2f265ad81309de31cf324454858225728290ecee36354788966aec3c42b52"
+
+
+class TestMemo:
+    """Canonical regions are memoised on their tightened rows, sorted."""
+
+    def test_rows_that_tighten_alike_share_one_region(self):
+        rows = [(1, 0, 2), (0, 1, 2), (1, 1, 3)]
+        region = canonical_region(rows)
+        assert canonical_region(rows[::-1]) is region  # permuted
+        assert canonical_region([(2, 0, 4), (0, 3, 6), (1, 1, 3)]) is region  # scaled
+        assert canonical_region(rows + [(1, 1, 3), (2, 2, 6), (1, 1, 5)]) is region  # duplicated, looser
+        assert canonicalize(RateRegion(hs(*row) for row in rows)) is region
+
+    def test_lattice_regions_equal_cold_ones(self):
+        # Each region as the memo serves it, shared with earlier tuples, and as made after a cache_clear().
+        for levels in product(range(5), repeat=4):
+            p = ChannelParams(*levels)
+            regimes = applicable_regimes(p)
+            makers = [partial(outer_bound_region.__wrapped__, p)]
+            makers += [partial(achievable_region.__wrapped__, p, r) for r in regimes]
+            makers += [partial(projected_region, r, p) for r in regimes]
+            for make in makers:
+                warm = make()
+                regions._canonical.cache_clear()
+                cold = make()
+                assert (cold.rows, cold.vertices, cold.rays) == (warm.rows, warm.vertices, warm.rays), p
+
+    def test_sweep_misses_only_its_distinct_keys(self, monkeypatch):
+        keys, core = [], regions._canonical
+        monkeypatch.setattr(regions, "_canonical", lambda rows: keys.append(rows) or core(rows))
+        core.cache_clear()
+        outer_bound_region.cache_clear()
+        achievable_region.cache_clear()
+        list(sweep_rows(2, True))
+        assert core.cache_info().misses <= len(set(keys)) < len(keys)
+
+    def test_empty_region_raises_on_every_call(self):
+        size = regions._canonical.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(RegionError, match="empty"):  # R1 <= -1
+                canonical_region([(1, 0, -1)])
+        assert regions._canonical.cache_info().currsize == size
 
 
 class TestCorners:
@@ -458,6 +503,7 @@ class TestStoredForm:
     def test_pickle_equality_and_hash(self):
         p = ChannelParams(2, 3, 1, 1)
         region = outer_bound_region(p)
+        regions._canonical.cache_clear()  # else the memo hands back ``region`` itself
         rebuilt = canonicalize(RateRegion(paper_outer_bound(p)))
         assert rebuilt is not region
         assert rebuilt == region and hash(rebuilt) == hash(region)

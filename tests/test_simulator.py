@@ -28,7 +28,7 @@ from ldbfn import (
     verify_params,
 )
 from ldbfn import simulator
-from ldbfn.schemes import Binding, Subtract
+from ldbfn.schemes import Binding, Read, Subtract
 
 ERROR_DETAIL_GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden" / "dropped_subtract_error_detail.json"
 
@@ -172,6 +172,23 @@ class TestNegativeControls:
         assert report.delivered_bits == (0, 8)
         assert report.errors == tuple(simulator.DecodeEvent(0, 3, "nb1", block, False) for block in range(1, 5))
 
+    def test_dropped_decode_step_is_a_sweep_failure(self, monkeypatch):
+        p, corner = ChannelParams(2, 3, 1, 1), (1, 2)
+        drop, build = Subtract("f2", offset=-2, pos=0, length=1), simulator.build_scheme
+
+        def broken(params, allocation):
+            scheme = build(params, allocation)
+            if (params, scheme.rates) != (p, corner):
+                return scheme
+            plans = {**scheme.decode_plans, 0: tuple(step for step in scheme.decode_plans[0] if step != drop)}
+            return dataclasses.replace(scheme, decode_plans=plans)
+
+        monkeypatch.setattr(simulator, "build_scheme", broken)
+        summary = verify_corner_sweep(3, n_blocks=8, seed=1)
+        _, report = run(broken(p, allocate(p, corner)), n_blocks=8, seed=1)
+        assert not summary.ok and len(report.errors) == 15
+        assert summary.failures == (simulator.SweepFailure(p, corner, report.errors),)
+
     def test_encoder_needing_an_unstored_block_raises(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
         xr = scheme.transmit["xr"]
@@ -283,6 +300,14 @@ class TestSweep:
     def test_lexmin_corners_are_zero_error_for_every_message(self):
         corners, runs, failures = every_message_failures(3)
         assert (corners, runs, failures) == (756, 8628, [])
+
+    def test_split_read_is_zero_error_for_every_message(self):
+        # The first lexmin scheme whose destinations read one block in two pieces in one use,
+        # so ``run`` merges the second read into the first.
+        scheme = scheme_for(ChannelParams(3, 2, 4, 0), (2, 2))
+        split = (Read("csum", -1, 0, 1, at=0), Read("csum", -1, 3, 1, at=1))
+        assert scheme.decode_plans[3][:2] == scheme.decode_plans[4][:2] == split
+        assert failing_messages(scheme) == (33, [])
 
     def test_showcase_has_five_corners(self):
         assert len(integer_corners(ChannelParams(2, 3, 1, 1))) == 5
