@@ -26,8 +26,8 @@ from ldbfn import (
     sum_capacity,
 )
 from ldbfn import regions
-from ldbfn.regions import RegionError, _recession_rays, _vertex_triples, canonical_region, hs
 from ldbfn.cli import sweep_rows
+from ldbfn.regions import RegionError, _recession_rays, _vertex_triples, canonical_region, hs
 from ldbfn.schemes import projected_region
 
 
