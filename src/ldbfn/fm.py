@@ -350,7 +350,8 @@ def walk_points(table: WalkTable, bounds: list[int], bound: int) -> set[tuple[in
     return achieved
 
 
-_TERM = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_]*)\s*$")
+_TERM = re.compile(r"^\s*(?:([0-9]+)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_]*)\s*$")
+_BOUND = re.compile(r"-?[0-9]+")
 
 
 def _parse_expr(expr: str, line_no: int) -> dict[str, int]:
@@ -376,8 +377,9 @@ def parse_system(text: str) -> tuple[IneqSystem, dict[str, int], dict[str, int]]
         2*Rc2 + Rc1 + R1d + R2d <= 4
         R1 = Rc1 + Rc2 + R1d
         R2 = Rc1 + Rc2 + R2d
-    Bounds are integers (parameters already substituted).  Variables are
-    collected in order of first appearance.
+    Coefficients are ASCII digits ``[0-9]+`` and bounds ``-?[0-9]+``
+    (parameters already substituted).  Variables are collected in order of
+    first appearance.
     """
     vars: list[str] = []
     ineqs: list[LinearIneq] = []
@@ -397,10 +399,9 @@ def parse_system(text: str) -> tuple[IneqSystem, dict[str, int], dict[str, int]]
             coeffs = _parse_expr(lhs, line_no)
             if not any(coeffs.values()):
                 raise SystemParseError(line_no, "inequality needs a nonzero coefficient on the left side")
-            try:
-                bound = int(rhs.strip())
-            except ValueError:
+            if not _BOUND.fullmatch(rhs.strip()):
                 raise SystemParseError(line_no, f"bound {rhs.strip()!r} is not an integer")
+            bound = int(rhs)
             note_vars(coeffs)
             ineqs.append(LinearIneq.of(coeffs, bound))
         elif "=" in line:

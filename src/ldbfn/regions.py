@@ -10,7 +10,7 @@ integer cross-multiplication and equality of polytopes is decided, never
 approximated.  :func:`canonicalize` keeps a full-dimensional region's
 facets and writes a point, segment or half-line as its capped line.
 Canonical regions are memoised on their tightened rows, so calls whose rows
-tighten alike share one region.
+tighten alike share one region and the values it stores.
 ``fractions.Fraction`` appears only at the API: the :class:`Halfspace`
 fields (``RateRegion.halfspaces`` builds them when read), :class:`RatePoint`,
 :meth:`RateRegion.contains` and the JSON shapes.
@@ -87,12 +87,13 @@ class RateRegion:
     ``RateRegion(halfspaces)`` scales each halfspace to its primitive row, so
     ``halfspaces`` reads back that scaling.  ``vertices`` are the vertex triples
     in the order of :func:`corner_vertices` and ``rays`` the recession rays
-    (empty when bounded), both derived when the region is made.  Canonical
-    regions are memoised and shared between callers, so treat an instance as
-    immutable.
+    (empty when bounded), both derived when the region is made.  Its sum
+    capacity, corner points and integer points are stored on first use, so
+    they live as long as the region.  Canonical regions are memoised and
+    shared between callers, so treat an instance as immutable.
     """
 
-    __slots__ = ("rows", "vertices", "rays")
+    __slots__ = ("rows", "vertices", "rays", "_sum", "_corners", "_points")
 
     def __init__(self, halfspaces: Iterable[Halfspace]) -> None:
         self._set(tuple(_int_row(h) for h in halfspaces))
@@ -101,6 +102,7 @@ class RateRegion:
         self.rows = rows
         self.vertices = _walk_order(_scaled(_vertex_triples(rows))) if vertices is None else vertices
         self.rays = tuple(_recession_rays(rows)) if rays is None else rays
+        self._sum = self._corners = self._points = None  # filled by the first successful call
 
     @property
     def halfspaces(self) -> tuple[Halfspace, ...]:
@@ -307,8 +309,11 @@ def corner_vertices(region: RateRegion) -> list[Vertex]:
 
 
 def corner_points(region: RateRegion) -> list[RatePoint]:
-    """All polytope vertices in the order of :func:`corner_vertices`."""
-    return [RatePoint(Fraction(n1, d), Fraction(n2, d)) for n1, n2, d in corner_vertices(region)]
+    """All polytope vertices in the order of :func:`corner_vertices`, as a fresh list."""
+    if region._corners is None:
+        region._corners = tuple(RatePoint(Fraction(n1, d), Fraction(n2, d))
+                                for n1, n2, d in corner_vertices(region))
+    return list(region._corners)
 
 
 def regions_equal(a: RateRegion, b: RateRegion) -> bool:
@@ -347,16 +352,20 @@ def integer_columns(region: RateRegion) -> Iterator[tuple[int, range]]:
 
 
 def integer_points(region: RateRegion) -> set[tuple[int, int]]:
-    """All integer rate pairs inside the (bounded) region, read off :func:`integer_columns`."""
-    return {(r1, r2) for r1, column in integer_columns(region) for r2 in column}
+    """All integer rate pairs inside the (bounded) region, read off :func:`integer_columns`, as a fresh set."""
+    if region._points is None:
+        region._points = frozenset((r1, r2) for r1, column in integer_columns(region) for r2 in column)
+    return set(region._points)
 
 
 def sum_capacity(region: RateRegion) -> Fraction:
     """Max of R1 + R2 over the region."""
-    _check_bounded(region)
-    m = lcm(*(d for _, _, d in region.vertices))
-    n1, n2, d = max(region.vertices, key=lambda t: (t[0] + t[1]) * (m // t[2]))
-    return Fraction(n1 + n2, d)
+    if region._sum is None:
+        _check_bounded(region)
+        m = lcm(*(d for _, _, d in region.vertices))
+        n1, n2, d = max(region.vertices, key=lambda t: (t[0] + t[1]) * (m // t[2]))
+        region._sum = Fraction(n1 + n2, d)
+    return region._sum
 
 
 class Regime(str, Enum):

@@ -251,12 +251,23 @@ class TestFmCheck:
         fixture.write_text("x + y <= -1\nR1 = x\nR2 = y\n")
         assert run_cli(capsys, "fm-check", "--system", str(fixture)) == (1, '{"infeasible": true}\n', "")
 
-    def test_parse_error_exit_two(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        ("nonsense line\n", 1),
+        ("x <= 1.5\nR1 = x\nR2 = x\n", 1),
+        ("x <= 1\nR3 = x\nR1 = x\nR2 = x\n", 2),
+        ("x <= 1\nR1 = x\nR2 = x\nR1 = x\n", 4),
+        ("x <= 1_0\ny <= 3\nR1 = x\nR2 = y\n", 1),
+        ("x <= +1\nR1 = x\nR2 = x\n", 1),
+        ("x <= 1\ny <= \u0663\nR1 = x\nR2 = y\n", 2),  # ARABIC-INDIC DIGIT THREE
+        ("x <= 1\ny <= 3\nR1 = x\nR2 = \u0662*y\n", 4),  # ARABIC-INDIC DIGIT TWO
+    ], ids=["unrecognized-statement", "non-integer-bound", "defines-R3", "R1-defined-twice",
+            "underscore-bound", "plus-signed-bound", "non-ascii-bound", "non-ascii-coefficient"])
+    def test_parse_error_exit_two(self, capsys, tmp_path, text, line):
         bad = tmp_path / "bad.txt"
-        bad.write_text("nonsense line\n")
-        code, _, err = run_cli(capsys, "fm-check", "--system", str(bad))
-        assert code == 2
-        assert "line 1" in err
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "fm-check", "--system", str(bad))
+        assert_error_line(code, out, err)
+        assert f"{bad}: line {line}:" in err
 
     def test_all_zero_left_side_exit_two(self, capsys, tmp_path):
         fixture = tmp_path / "zero.txt"

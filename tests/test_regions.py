@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -25,10 +26,13 @@ from ldbfn import (
     regions_equal,
     sum_capacity,
 )
-from ldbfn import regions
+from ldbfn import cli, regions
 from ldbfn.cli import sweep_rows
-from ldbfn.regions import RegionError, _recession_rays, _vertex_triples, canonical_region, hs
+from ldbfn.regions import RatePoint, RegionError, _recession_rays, _vertex_triples, canonical_region, hs
 from ldbfn.schemes import projected_region
+
+
+SWEEP_GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden" / "sweep_max4_oracle.csv"
 
 
 def halfspace_set(region):
@@ -227,6 +231,71 @@ class TestMemo:
             with pytest.raises(RegionError, match="empty"):  # R1 <= -1
                 canonical_region([(1, 0, -1)])
         assert regions._canonical.cache_info().currsize == size
+
+
+def answers(region):
+    return sum_capacity(region), corner_points(region), integer_points(region)
+
+
+class TestDerivedValues:
+    """A region stores its sum capacity, corner points and integer points on their first successful call."""
+
+    def test_sweep_regions_store_what_a_fresh_region_computes(self, monkeypatch):
+        made, core = {}, regions._canonical
+        monkeypatch.setattr(regions, "_canonical", lambda rows: made.setdefault(rows, core(rows)))
+        for cache in (core, outer_bound_region, achievable_region):
+            cache.cache_clear()
+        list(sweep_rows(4, True))
+        stored = [0, 0, 0]
+        for region in made.values():
+            fresh = RateRegion(region.halfspaces)
+            kept = ((region._sum, sum_capacity), (region._corners, corner_points), (region._points, integer_points))
+            for i, (value, compute) in enumerate(kept):
+                if value is not None:
+                    stored[i] += 1
+                    assert compute(region) == compute(fresh) == type(compute(fresh))(value), region
+        assert stored == [18, 18, 64]
+
+    def test_results_are_fresh_copies(self):
+        region = canonical_region([(1, 0, 2), (0, 1, 2), (1, 1, 3)])
+        expected = answers(RateRegion(region.halfspaces))
+        corners_once, points_once = corner_points(region), integer_points(region)
+        corners_once.reverse()
+        corners_once.append(RatePoint(Fraction(9), Fraction(9)))
+        points_once.add((9, 9))
+        points_once.discard((0, 0))
+        assert answers(region) == expected
+        assert len(expected[1]) == 5 and len(expected[2]) == 8
+
+    @pytest.mark.parametrize("rows, message", [([(1, 0, -1)], "empty"), ([(1, -1, 0)], "bounded region")])
+    def test_empty_or_unbounded_region_raises_on_every_call(self, rows, message):
+        region = RateRegion(hs(*row) for row in rows)
+        for compute in (sum_capacity, corner_points, integer_points):
+            for _ in range(2):
+                with pytest.raises(RegionError, match=message):
+                    compute(region)
+
+    def test_pickled_region_gives_the_same_answers(self):
+        region = RateRegion(paper_outer_bound(ChannelParams(6, 3, 1, 1)))
+        before = pickle.loads(pickle.dumps(region))  # nothing stored yet
+        expected = answers(region)
+        after = pickle.loads(pickle.dumps(region))  # the stored values travel with the region
+        assert (after._sum, after._corners, after._points) == (region._sum, region._corners, region._points)
+        assert answers(before) == answers(after) == expected
+        assert expected[0] == 4
+
+    def test_sweep_with_a_cold_memo_before_every_row_matches_golden(self, monkeypatch, tmp_path):
+        row = cli._sweep_row
+
+        def cold_row(p, with_oracle):
+            for cache in (regions._canonical, outer_bound_region, achievable_region):
+                cache.cache_clear()
+            return row(p, with_oracle)
+
+        monkeypatch.setattr(cli, "_sweep_row", cold_row)
+        target = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--max", "4", "--oracle", "--out", str(target)]) == 0
+        assert target.read_bytes() == SWEEP_GOLDEN.read_bytes()
 
 
 class TestCorners:

@@ -125,6 +125,11 @@ class TestAllocate:
             allocate(SHOWCASE, (3, 0))
         assert "1*R1 + 0*R2 <= 2" in str(err.value)
 
+    def test_non_integer_target_rejected(self):
+        with pytest.raises(InfeasibleTargetError) as err:
+            allocate(SHOWCASE, (Fraction(1, 2), 0))
+        assert str(err.value) == "target (Fraction(1, 2), 0) is not an integer point"
+
     def test_accepts_exactly_the_region_on_a_box(self):
         for tup in product(range(5), repeat=4):
             p = ChannelParams(*tup)

@@ -28,7 +28,7 @@ from ldbfn import (
     verify_params,
 )
 from ldbfn import simulator
-from ldbfn.schemes import Binding, Read, Subtract
+from ldbfn.schemes import Binding, Combine, Read, Subtract
 
 ERROR_DETAIL_GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden" / "dropped_subtract_error_detail.json"
 
@@ -198,6 +198,14 @@ class TestNegativeControls:
         with pytest.raises(SchemeError) as exc:
             run(broken, n_blocks=8, seed=1)
         assert str(exc.value) == "encoder for xr needs f2[1] at use 1 but it was never stored"
+
+    @pytest.mark.parametrize("step", [Subtract("nb1", offset=0, pos=0, length=1), Combine("nbsum", "nb1", "f2", 0)])
+    def test_decoder_needing_a_never_decoded_block_raises(self, step):
+        scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 2))
+        plans = {**scheme.decode_plans, 0: (step, *scheme.decode_plans[0])}  # the relay never decodes nb1
+        with pytest.raises(SchemeError) as exc:
+            run(dataclasses.replace(scheme, decode_plans=plans), n_blocks=8, seed=1)
+        assert str(exc.value) == "node 0 needs nb1[1] at use 1 before decoding it"
 
     def test_trace_steps_obey_the_channel(self):
         for levels in product(range(3), repeat=4):
