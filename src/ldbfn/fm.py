@@ -81,8 +81,10 @@ class Chain(NamedTuple):
 
 
 class SystemParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    """A fixture system that does not parse; ``line_no`` is None when no one line is at fault."""
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -390,7 +392,7 @@ def parse_system(text: str) -> tuple[IneqSystem, dict[str, int], dict[str, int]]
             if v not in vars:
                 vars.append(v)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):  # splitlines() also breaks at \f, \v, U+2028, ...
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -418,5 +420,5 @@ def parse_system(text: str) -> tuple[IneqSystem, dict[str, int], dict[str, int]]
             raise SystemParseError(line_no, f"unrecognized statement {line!r}")
     for name in ("R1", "R2"):
         if name not in defs:
-            raise SystemParseError(0, f"missing definition for {name}")
+            raise SystemParseError(None, f"missing definition for {name}")
     return IneqSystem(tuple(vars), tuple(ineqs)), defs["R1"], defs["R2"]

@@ -98,10 +98,10 @@ class RateRegion:
     def __init__(self, halfspaces: Iterable[Halfspace]) -> None:
         self._set(tuple(_int_row(h) for h in halfspaces))
 
-    def _set(self, rows: tuple[Row, ...], vertices: tuple[Vertex, ...] | None = None, rays=None) -> None:
+    def _set(self, rows: tuple[Row, ...]) -> None:
         self.rows = rows
-        self.vertices = _walk_order(_scaled(_vertex_triples(rows))) if vertices is None else vertices
-        self.rays = tuple(_recession_rays(rows)) if rays is None else rays
+        self.vertices = _walk_order(_scaled(_vertex_triples(rows)))
+        self.rays = tuple(_recession_rays(rows))
         self._sum = self._corners = self._points = None  # filled by the first successful call
 
     @property
@@ -122,10 +122,10 @@ class RateRegion:
         return f"RateRegion(rows={self.rows!r})"
 
 
-def _region(rows: tuple[Row, ...], vertices: tuple[Vertex, ...], rays=None) -> RateRegion:
-    """The region of primitive ``rows`` whose vertices in walk order (and rays, if given) are known."""
+def _region(rows: tuple[Row, ...]) -> RateRegion:
+    """The region of primitive ``rows``."""
     region = RateRegion.__new__(RateRegion)
-    region._set(rows, vertices, rays)
+    region._set(rows)
     return region
 
 
@@ -282,16 +282,15 @@ def _canonical(rows: tuple[Row, ...]) -> RateRegion:
     if not rays and len(verts) <= 2:
         p, q = scaled[0][2], scaled[-1][2]
         d = _direction(p, q) if p != q else (1, 0)
-        return _region(tuple(sorted(_collinear_facets(p, *d, q))), verts, ())
+        return _region(tuple(sorted(_collinear_facets(p, *d, q))))
     if len(verts) == 1 and all(e1 * rays[0][1] == e2 * rays[0][0] for e1, e2 in rays):
-        return _region(tuple(sorted(_collinear_facets(verts[0], *rays[0], None))), verts)
+        return _region(tuple(sorted(_collinear_facets(verts[0], *rays[0], None))))
 
     def facet(a1: int, a2: int, b: int) -> bool:
         on_line = sum(a1 * n1 + a2 * n2 == b * d for n1, n2, d in verts)
         return on_line >= 2 or on_line == 1 and any(a1 * d1 + a2 * d2 == 0 for d1, d2 in rays)
 
-    # A dropped row may have added its direction to ``rays``, so an unbounded result derives its own.
-    return _region(tuple(row for row in rows if facet(*row)), verts, None if rays else ())
+    return _region(tuple(row for row in rows if facet(*row)))
 
 
 def is_bounded(region: RateRegion) -> bool:
@@ -393,10 +392,7 @@ def applicable_regimes(p: ChannelParams) -> list[Regime]:
 
 def regime_of(p: ChannelParams) -> Regime:
     """The scheme-selecting regime; ties broken in the order A, B, D, C."""
-    regimes = applicable_regimes(p)
-    if not regimes:  # pragma: no cover - the four conditions cover everything
-        raise AssertionError(f"no regime covers {p}")
-    return regimes[0]
+    return applicable_regimes(p)[0]  # nc <= nr gives A or B, nc > nr gives D or C
 
 
 def _pos(x: int) -> int:

@@ -28,10 +28,8 @@ initialization step (relay silent, future signal only) and block N drains
 at use N+1.
 
 Allocation tie-breaking is the lexicographically smallest feasible integer
-assignment in the documented per-regime variable order: D-components first,
-so they are only used when a corner is not reachable without them, and
-within split components the half that costs two destination levels first,
-so allocation lands in the cheaper half.
+assignment in the order of the regime table's variables, which lists them
+in allocation priority (see ``_SYSTEMS``).
 
 Each regime's rows, with R1 = t1 and R2 = t2 adjoined, are eliminated once at
 import, in reverse allocation order, bounds kept as forms in (nc, ns, nr, nf,
@@ -69,20 +67,6 @@ class InfeasibleTargetError(ValueError):
         self.violated = violated
 
 
-# Lexicographic minimization order per regime (leftmost minimized first):
-# D-signals go first so they are spent only on asymmetric corners, feedback
-# components before the in-band C-signal so feedback is spent sparingly,
-# and the double-charged half of each split component before the single-
-# charged one (regime A's low C-part; regime D's above-noise-floor halves),
-# so allocation prefers the cheap half.
-ALLOC_ORDER: dict[Regime, tuple[str, ...]] = {
-    Regime.A: ("R1d", "R2d", "Rc2", "Rc1"),
-    Regime.B: ("R1d", "R2d", "Rbar1d", "Rbar2d", "Rc", "Rn"),
-    Regime.C: ("R1d", "R2d", "R1f", "R2f", "Rbarf", "Rc"),
-    Regime.D: ("R1d", "R2d", "R1f", "R2f", "Rbarf1", "Rbarf2", "Rn1", "Rn2"),
-}
-
-
 def _require_regime(regime: Regime, p: ChannelParams) -> None:
     if regime not in applicable_regimes(p):
         raise ValueError(f"params {p} are not in regime {regime.value}")
@@ -100,18 +84,25 @@ _NS_NC, _NR_NC = (-1, 1, 0, 0), (-1, 0, 1, 0)
 # vector the builders unpack) derives from it, in this variable order; the
 # feedback levels an allocation occupies are its largest left side among the
 # rows bounded by nf.
+#
+# The variable order is the allocation order, leftmost minimized first:
+# D-signals go first so they are spent only on asymmetric corners, feedback
+# components before the in-band C-signal so feedback is spent sparingly, and
+# the double-charged half of each split component before the single-charged
+# one (regime A's low C-part; regime D's above-noise-floor halves), so
+# allocation prefers the cheap half.
 _SYSTEMS = {
     Regime.A: (
-        ("Rc1", "Rc2", "R1d", "R2d"),
-        ((1, 1, 1, 1), (1, 2, 1, 1), (1, 0, 0, 0)),
+        ("R1d", "R2d", "Rc2", "Rc1"),
+        ((1, 1, 1, 1), (1, 1, 2, 1), (0, 0, 0, 1)),
         (_NS, _NC, _NR_NC),
-        ((1, 1, 1, 0), (1, 1, 0, 1)),
+        ((1, 0, 1, 1), (0, 1, 1, 1)),
     ),
     Regime.B: (
-        ("Rc", "R1d", "R2d", "Rbar1d", "Rbar2d", "Rn"),
-        ((1, 1, 1, 0, 0, 1), (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 1), (2, 1, 1, 1, 1, 1)),
+        ("R1d", "R2d", "Rbar1d", "Rbar2d", "Rc", "Rn"),
+        ((1, 1, 0, 0, 1, 1), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 0, 1), (1, 1, 1, 1, 2, 1)),
         (_NC, _NS_NC, _NS_NC, _NR),
-        ((1, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 1)),
+        ((1, 0, 1, 0, 1, 1), (0, 1, 0, 1, 1, 1)),
     ),
     # The destination row (bound nc) charges each D-rate once, not twice: the
     # D-slot may share levels with the two-use-old symmetric-F delivery and
@@ -120,28 +111,28 @@ _SYSTEMS = {
     # placement (2*R1d + 2*R2d) the asymmetric corners of the capacity region
     # would be unreachable for some parameter tuples.
     Regime.C: (
-        ("Rc", "R1d", "R2d", "R1f", "R2f", "Rbarf"),
+        ("R1d", "R2d", "R1f", "R2f", "Rbarf", "Rc"),
         (
             (1, 1, 1, 1, 1, 1),
-            (1, 1, 1, 0, 0, 0),
-            (0, 0, 0, 1, 0, 1),
-            (0, 0, 0, 0, 1, 1),
-            (2, 1, 1, 1, 1, 2),
+            (1, 1, 0, 0, 0, 1),
+            (0, 0, 1, 0, 1, 0),
+            (0, 0, 0, 1, 1, 0),
+            (1, 1, 1, 1, 2, 2),
         ),
         (_NS, _NR, _NF, _NF, _NC),
-        ((1, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 1)),
+        ((1, 0, 1, 0, 1, 1), (0, 1, 0, 1, 1, 1)),
     ),
     Regime.D: (
-        ("R1f", "R2f", "Rbarf1", "Rbarf2", "R1d", "R2d", "Rn1", "Rn2"),
+        ("R1d", "R2d", "R1f", "R2f", "Rbarf1", "Rbarf2", "Rn1", "Rn2"),
         (
-            (1, 1, 2, 1, 1, 1, 2, 1),
-            (0, 0, 0, 1, 0, 0, 0, 1),
-            (0, 0, 0, 0, 1, 1, 1, 1),
-            (1, 0, 1, 1, 0, 0, 0, 0),
-            (0, 1, 1, 1, 0, 0, 0, 0),
+            (1, 1, 1, 1, 2, 1, 2, 1),
+            (0, 0, 0, 0, 0, 1, 0, 1),
+            (1, 1, 0, 0, 0, 0, 1, 1),
+            (0, 0, 1, 0, 1, 1, 0, 0),
+            (0, 0, 0, 1, 1, 1, 0, 0),
         ),
         (_NC, _NS_NC, _NR, _NF, _NF),
-        ((1, 0, 1, 1, 1, 0, 1, 1), (0, 1, 1, 1, 0, 1, 1, 1)),
+        ((1, 0, 1, 0, 1, 1, 1, 1), (0, 1, 0, 1, 1, 1, 1, 1)),
     ),
 }
 
@@ -168,14 +159,12 @@ def rate_definitions(regime: Regime) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def _alloc_rows(regime: Regime) -> list:
-    """The regime's rows in ``ALLOC_ORDER`` with bounds over (nc, ns, nr, nf, t1, t2), R1 = t1, R2 = t2."""
-    vars, rows, forms, rates = _SYSTEMS[regime]
-    cols = [vars.index(v) for v in ALLOC_ORDER[regime]]
-    rows = [(tuple(row[i] for i in cols), form) for row, form in zip(rows, forms)]
-    return with_rates(rows, *(tuple(r[i] for i in cols) for r in rates), 4)
+    """The regime's rows with bounds over (nc, ns, nr, nf, t1, t2), R1 = t1, R2 = t2."""
+    _, rows, forms, rates = _SYSTEMS[regime]
+    return with_rates(list(zip(rows, forms)), *rates, 4)
 
 
-_CHAINS = {r: lexmin_chain(ALLOC_ORDER[r], _alloc_rows(r)) for r in Regime}
+_CHAINS = {r: lexmin_chain(_SYSTEMS[r][0], _alloc_rows(r)) for r in Regime}
 _WALKS = {r: walk_table(_SYSTEMS[r][1], *_SYSTEMS[r][3]) for r in Regime}
 
 
@@ -254,7 +243,7 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
         values = integer_lexmin(_CHAINS[regime], (p.nc, p.ns, p.nr, p.nf, t1, t2))
     except EmptyIntervalError as e:
         raise SchemeError(f"{e}: no integer allocation reaches {target} for {p} (regime {regime.value})") from None
-    return RateAllocation.of(regime, dict(zip(ALLOC_ORDER[regime], values)))
+    return RateAllocation.of(regime, dict(zip(_SYSTEMS[regime][0], values)))
 
 
 def integer_corners(p: ChannelParams) -> list[tuple[int, int]]:
@@ -482,11 +471,11 @@ class _Builder:
             )
             for key in SENDERS
         }
-        # Structural sanity: the relay may only occupy its top nr / nf levels.
-        if transmit["xr"].layout.occupied_extent() > self.p.nr:
-            raise SchemeError("relay in-band layout exceeds nr levels")
-        if transmit["xf"].layout.occupied_extent() > self.p.nf:
-            raise SchemeError("feedback layout exceeds nf levels")
+        # The relay occupies only its top nr in-band and nf feedback levels, as the rows that
+        # build_scheme checks first imply: every xr slot in B, C and D stops at or below nr by
+        # construction, and A's lowest one (csum_lo) at nr - nc + Rc1 + 2*Rc2 + R1d + R2d <= nr by
+        # A's nc row; xf (C and D only) stops at max(R1f, R2f) plus the Rbarf parts, at most nf by
+        # the two nf rows.
         look = [1] + [-b.offset for key in ("x1", "x2") for b in transmit[key].bindings]
         # Destination j + 2 delivers source j's message streams.
         messages = [s for s in self.streams if s not in self.sums]
@@ -511,7 +500,7 @@ def _build_regime_a(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     everything the sources can reach at the destinations, the rest below
     the D-levels, leaving the overheard C-signal clean in between.
     """
-    Rc1, Rc2, R1d, R2d = xs
+    R1d, R2d, Rc2, Rc1 = xs
     Rc = Rc1 + Rc2
     b.pair("c", Rc)
     b.stream("d1", R1d)
@@ -551,7 +540,7 @@ def _build_regime_b(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     into the present N-slot, which is harmless because backward decoding
     knows them one use ahead.
     """
-    Rc, R1d, R2d, Rb1, Rb2, Rn = xs
+    R1d, R2d, Rb1, Rb2, Rc, Rn = xs
     Rb = Rb1 + Rb2
     b.pair("c", Rc)
     b.stream("d1", R1d)
@@ -611,7 +600,7 @@ def _build_regime_c(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     both interferers are already known wherever they matter, so each D-rate
     costs a single destination level.
     """
-    Rc, R1d, R2d, R1f, R2f, Rbf = xs
+    R1d, R2d, R1f, R2f, Rbf, Rc = xs
     Rfmax = max(R1f, R2f)
     b.pair("c", Rc)
     b.stream("d1", R1d)
@@ -676,7 +665,7 @@ def _build_regime_d(b: _Builder, p: ChannelParams, xs: tuple[int, ...]) -> None:
     ns - nc window has room, with the overflow placed above the aligned
     blocks; the two-part split of those streams tracks exactly that.
     """
-    R1f, R2f, Rba, Rbb, R1d, R2d, Rn1, Rn2 = xs
+    R1d, R2d, R1f, R2f, Rba, Rbb, Rn1, Rn2 = xs
     Rfmax = max(R1f, R2f)
     b.pair("f", R1f, R2f)
     b.pair("bfa", Rba)

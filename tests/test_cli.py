@@ -260,14 +260,17 @@ class TestFmCheck:
         ("x <= +1\nR1 = x\nR2 = x\n", 1),
         ("x <= 1\ny <= \u0663\nR1 = x\nR2 = y\n", 2),  # ARABIC-INDIC DIGIT THREE
         ("x <= 1\ny <= 3\nR1 = x\nR2 = \u0662*y\n", 4),  # ARABIC-INDIC DIGIT TWO
+        ("x <= 1\fy <= 1_0\nR1 = x\nR2 = y\n", 1),  # a form feed does not end a line
+        ("x <= 1\nR1 = x\n", None),  # no one line is at fault
     ], ids=["unrecognized-statement", "non-integer-bound", "defines-R3", "R1-defined-twice",
-            "underscore-bound", "plus-signed-bound", "non-ascii-bound", "non-ascii-coefficient"])
+            "underscore-bound", "plus-signed-bound", "non-ascii-bound", "non-ascii-coefficient",
+            "form-feed-inside-a-line", "missing-R2"])
     def test_parse_error_exit_two(self, capsys, tmp_path, text, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "fm-check", "--system", str(bad))
         assert_error_line(code, out, err)
-        assert f"{bad}: line {line}:" in err
+        assert (f"{bad}: line {line}:" if line else f"{bad}: missing definition for R2") in err
 
     def test_all_zero_left_side_exit_two(self, capsys, tmp_path):
         fixture = tmp_path / "zero.txt"

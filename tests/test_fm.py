@@ -156,6 +156,19 @@ class TestLinearIneq:
         with pytest.raises(ValueError):
             LinearIneq.of(coeffs, bound)
 
+    def test_all_zero_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="^inequality needs at least one nonzero coefficient$"):
+            LinearIneq.of({"x": 0}, 1)
+
+    @pytest.mark.parametrize("vars, message", [
+        (("x", "x", "y"), "duplicate variable names"),
+        (("x",), "inequality references undeclared vars ['y']"),
+    ])
+    def test_system_with_inconsistent_variables_rejected(self, vars, message):
+        with pytest.raises(ValueError) as exc:
+            IneqSystem(vars, (ineq({"x": 1, "y": 1}, 1),))
+        assert str(exc.value) == message
+
 
 class TestProjectToRates:
     def test_regime_a_formulas(self):

@@ -186,11 +186,15 @@ class TestLayout:
         layout = SignalLayout(2, (Slot("a", 0, 1), Slot("b", 1, 1)))
         with pytest.raises(LayoutError):
             pack(layout, {"a": (1,)})
+        with pytest.raises(LayoutError, match=r"^segments not in layout: \['c'\]$"):
+            pack(layout, {"a": (1,), "b": (0,), "c": (1,)})
 
     def test_wrong_length_rejected(self):
         layout = SignalLayout(2, (Slot("a", 0, 2),))
         with pytest.raises(LayoutError):
             pack(layout, {"a": (1,)})
+        with pytest.raises(LayoutError, match="^vector length 3 != layout q 2$"):
+            unpack(layout, BitVector((1, 0, 1)))
 
     def test_slot_lookup_by_name(self):
         a, b = Slot("a", 0, 2), Slot("b", 3, 2)
@@ -209,6 +213,14 @@ class TestWordBoundary:
         for word in (-1, 8):
             with pytest.raises(ValueError):
                 BitVector.from_word(word, 3)
+
+    def test_bits_constructor_checks_entries_and_compares_by_value(self):
+        with pytest.raises(ValueError, match="^BitVector entries must be 0 or 1$"):
+            BitVector((0, 2))
+        x = BitVector((1, 0))
+        assert x != object() and x.__eq__(object()) is NotImplemented
+        assert hash(x) == hash(BitVector.from_word(2, 2)) and len({x, BitVector((1, 0)), BitVector((0, 1, 0))}) == 2
+        assert repr(x) == "BitVector(bits=(1, 0))"
 
     def test_xor_of_words(self):
         x = BitVector((1, 0, 1))

@@ -128,12 +128,13 @@ class TestCanonicalize:
     def test_rays_primitive_and_rows_tightest_per_reduced_normal(self, monkeypatch):
         # R1 >= 3/2 has the boundary direction (0, 2), which is the axis direction (0, 1).
         assert sorted(RateRegion((hs(-2, 0, -3),)).rays) == [(0, 1), (1, 0)]
-        # R1 >= 3/2 and R1 >= 3 share the half-plane normal (-1, 0): only R1 >= 3 reaches the vertex search.
+        # R1 >= 3/2 and R1 >= 3 share the half-plane normal (-1, 0): only R1 >= 3 reaches the vertex
+        # search, once as the tightened rows and once as the kept rows the region derives its own from.
         seen, vertex_triples = [], regions._vertex_triples
         monkeypatch.setattr(regions, "_vertex_triples", lambda rows: seen.append(rows) or vertex_triples(rows))
         regions._canonical.cache_clear()
         assert canonical_region([(-2, 0, -3), (-1, 0, -3)]).rows == ((-1, 0, -3),)
-        assert seen == [((-1, 0, -3),)]
+        assert seen == [((-1, 0, -3),)] * 2
         with pytest.raises(RegionError, match="empty"):  # 0*R1 + 0*R2 <= -1
             canonical_region([(0, 0, -1), (1, 0, 2)])
 
@@ -551,7 +552,8 @@ class TestStoredForm:
         canon = canonical_region(rows)
         assert_derived_from_rows(canon)
         assert canon.vertices == region.vertices
-        assert bool(canon.rays) == bool(region.rays)
+        # A dropped row may add a non-extreme direction to the rays of the rows given, never an extreme one.
+        assert bool(canon.rays) == bool(region.rays) and set(canon.rays) <= set(region.rays)
         assert canonicalize(region) == canon
         rays = canon.rays
         half_line = len(canon.vertices) == 1 and all(e1 * rays[0][1] == e2 * rays[0][0] for e1, e2 in rays)
@@ -562,6 +564,17 @@ class TestStoredForm:
         for row in canon.rows:
             rest = [other for other in canon.rows if other != row]
             assert (_vertex_triples(rest), set(_recession_rays(rest))) != point_set, (canon, row)
+
+    def test_canonical_regions_rederive_the_vertices_of_the_rows_given(self):
+        # A canonical region derives its vertices and rays from the rows it keeps alone.  The rows
+        # it drops are implied, so they are the vertices, in walk order, of the rows it was made from.
+        for p in LATTICE_6:
+            given = [(paper_outer_bound(p), outer_bound_region(p))]
+            given += [(paper_achievable(p, r), achievable_region(p, r)) for r in applicable_regimes(p)]
+            for halfspaces, canon in given:
+                region = RateRegion(halfspaces)
+                assert (canon.vertices, canon.rays) == (region.vertices, region.rays), (p, canon)
+                assert not canon.rays
 
     def test_int_built_regions_equal_the_paper_halfspaces(self):
         for p in LATTICE_6:
@@ -586,3 +599,6 @@ class TestStoredForm:
         assert region.rows == ((1, 1, 2), (1, 0, 2))
         assert region.halfspaces == (hs(1, 1, 2), hs(1, 0, 2))
         assert region == RateRegion((hs(1, 1, 2), hs(1, 0, 2)))
+        assert repr(region) == "RateRegion(rows=((1, 1, 2), (1, 0, 2)))"
+        with pytest.raises(RegionError, match="^halfspace needs a nonzero normal$"):
+            hs(0, 0, 1)

@@ -32,7 +32,8 @@ from ldbfn import (
 )
 from ldbfn import cli, fm, schemes
 from ldbfn.fm import enumerate_integer_projection, lexmin_chain, walk_table
-from ldbfn.schemes import ALLOC_ORDER, Subtract, enumerated_points, projected_region
+from ldbfn.regions import canonical_region
+from ldbfn.schemes import Subtract, enumerated_points, projected_region
 
 SHOWCASE = ChannelParams(2, 3, 1, 1)
 NETGAIN = ChannelParams(6, 3, 1, 1)
@@ -154,20 +155,26 @@ class TestAllocate:
 
     def test_matches_golden(self):
         # One line per (tuple, corner) on [0,5]^4: "nc,ns,nr,nf r1,r2 regime
-        # values", the values in ALLOC_ORDER of the regime.
+        # values", the values in the order of the regime's variables.
         lines = []
         for tup in product(range(6), repeat=4):
             p = ChannelParams(*tup)
             for corner in integer_corners(p):
                 alloc = allocate(p, corner)
-                values = alloc.as_dict()
                 lines.append(" ".join((
                     ",".join(map(str, tup)),
                     ",".join(map(str, corner)),
                     alloc.regime.value,
-                    ",".join(str(values[v]) for v in ALLOC_ORDER[alloc.regime]),
+                    ",".join(map(str, alloc.xs)),
                 )))
         assert "\n".join(lines) + "\n" == ALLOCATE_GOLDEN.read_text()
+
+    def test_non_integer_corner_raises(self, monkeypatch):
+        # The model's corners are integral; a stand-in region with the corner (1/2, 1) reaches the check.
+        monkeypatch.setattr(schemes, "achievable_region", lambda p: canonical_region([(2, 0, 1), (0, 1, 1)]))
+        with pytest.raises(SchemeError) as exc:
+            integer_corners(SHOWCASE)
+        assert str(exc.value) == f"non-integer corner among [(0, 0, 1), (0, 1, 1), (1, 2, 2), (1, 0, 2)] for {SHOWCASE}"
 
     def test_interior_integer_points_allocatable(self):
         p = ChannelParams(3, 3, 2, 1)
@@ -190,7 +197,7 @@ class TestInternalRows:
             p = ChannelParams(*tup)
             for corner in integer_corners(p):
                 assert build_scheme(p, allocate(p, corner)).rates == corner
-        assert {r: lexmin_chain(ALLOC_ORDER[r], schemes._alloc_rows(r)) for r in Regime} == schemes._CHAINS
+        assert {r: lexmin_chain(schemes._SYSTEMS[r][0], schemes._alloc_rows(r)) for r in Regime} == schemes._CHAINS
         assert {r: walk_table(schemes._SYSTEMS[r][1], *schemes._SYSTEMS[r][3]) for r in Regime} == schemes._WALKS
 
     def test_enumerated_points_equal_the_api_oracle(self):
@@ -219,7 +226,7 @@ class TestBuildScheme:
         bad = RateAllocation.of(
             Regime.A, {"Rc1": 5, "Rc2": 0, "R1d": 0, "R2d": 0}
         )
-        violated = "LinearIneq(coeffs={'Rc1': 1, 'Rc2': 1, 'R1d': 1, 'R2d': 1}, bound=1)"
+        violated = "LinearIneq(coeffs={'R1d': 1, 'R2d': 1, 'Rc2': 1, 'Rc1': 1}, bound=1)"
         with pytest.raises(SchemeError, match=re.escape(f"violates {violated}")):
             build_scheme(ChannelParams(2, 1, 3, 0), bad)
         # On every table the message names the first violated row in its API form.
@@ -273,14 +280,20 @@ class TestBuildScheme:
         assert b.plans[0] == []
 
     def test_layouts_fit_inside_q_and_relay_extents(self):
-        for p, scheme in sample_schemes(3):
+        # Every feasible allocation on [0,3]^4, not only the lexmin corners: build_scheme does not
+        # check the relay extents, as the rows it checks imply them.
+        for tup in product(range(4), repeat=4):
+            p = ChannelParams(*tup)
             q = p.q
-            for key, plan in scheme.transmit.items():
-                assert plan.layout.q == q
-                for slot in plan.layout.slots:
-                    assert 0 <= slot.start and slot.stop <= q
-            assert scheme.transmit["xr"].layout.occupied_extent() <= p.nr
-            assert scheme.transmit["xf"].layout.occupied_extent() <= p.nf
+            for regime in applicable_regimes(p):
+                for alloc in feasible_allocations(regime, p):
+                    scheme = build_scheme(p, alloc)
+                    for key, plan in scheme.transmit.items():
+                        assert plan.layout.q == q
+                        for slot in plan.layout.slots:
+                            assert 0 <= slot.start and slot.stop <= q
+                    assert scheme.transmit["xr"].layout.occupied_extent() <= p.nr, (tup, alloc.xs)
+                    assert scheme.transmit["xf"].layout.occupied_extent() <= p.nf, (tup, alloc.xs)
 
     def test_source_one_never_occupies_partner_d_levels(self):
         # The zero-padded composite convention: x1 carries no slot named d2
@@ -358,8 +371,7 @@ class TestBuildScheme:
         for tup in product(range(4), repeat=4):
             p = ChannelParams(*tup)
             for regime in applicable_regimes(p):
-                for xs in feasible_allocations(regime, p):
-                    alloc = RateAllocation.of(regime, dict(zip(schemes._SYSTEMS[regime][0], xs)))
+                for alloc in feasible_allocations(regime, p):
                     scheme = build_scheme(p, alloc)
                     lines.append(line(p, alloc, scheme))
                     _, report = run(scheme, n_blocks=8, seed=1)
@@ -369,7 +381,7 @@ class TestBuildScheme:
 
 
 def feasible_allocations(regime, p):
-    """Every feasible integer allocation of ``regime`` at ``p``, in _SYSTEMS order.
+    """Every feasible integer allocation of ``regime`` at ``p``, lexicographically in _SYSTEMS order.
 
     A walk over the rows' slacks: every row coefficient is non-negative, so
     each variable ranges up to the least slack its rows have left.
@@ -386,7 +398,8 @@ def feasible_allocations(regime, p):
             for rest in walk(i + 1, [s - v * c for s, c in zip(slacks, column)]):
                 yield (v, *rest)
 
-    yield from walk(0, schemes._bounds(regime, p))
+    for xs in walk(0, schemes._bounds(regime, p)):
+        yield RateAllocation.of(regime, dict(zip(vars, xs)))
 
 
 def frontier_failures(max_level):
@@ -410,8 +423,7 @@ def frontier_failures(max_level):
         caps = [sum_capacity(outer_bound_region(p.with_nf(u))) for u in range(p.nf + 1)]
         for regime in applicable_regimes(p):
             best = [-1] * (p.nf + 1)  # best R1 + R2 at exactly u levels
-            for xs in feasible_allocations(regime, p):
-                alloc = RateAllocation.of(regime, dict(zip(schemes._SYSTEMS[regime][0], xs)))
+            for alloc in feasible_allocations(regime, p):
                 u = alloc.feedback_levels
                 best[u] = max(best[u], sum(alloc.rate_pair()))
                 allocations += 1
@@ -437,20 +449,18 @@ class TestFeedbackFrontier:
 def reference_allocate(p, target):
     """The depth-first search ``allocate`` ran before back-substitution, as a reference.
 
-    Lexicographically smallest integer allocation in ``ALLOC_ORDER`` reaching
-    ``target``, or None.
+    Lexicographically smallest integer allocation in the regime's variable
+    order reaching ``target``, or None.
     """
     t1, t2 = target
     regime = regime_of(p)
     vars, rows, _, _ = schemes._SYSTEMS[regime]
     bounds = schemes._bounds(regime, p)
     r1_def, r2_def = rate_definitions(regime)
-    order = ALLOC_ORDER[regime]
-    n = len(order)
-    by_var = dict(zip(vars, zip(*rows)))
-    columns = [by_var[v] for v in order]
-    a1s = [r1_def.get(v, 0) for v in order]
-    a2s = [r2_def.get(v, 0) for v in order]
+    n = len(vars)
+    columns = list(zip(*rows))
+    a1s = [r1_def.get(v, 0) for v in vars]
+    a2s = [r2_def.get(v, 0) for v in vars]
     caps = [min([max(t1, t2)] + [b // c for c, b in zip(column, bounds) if c > 0]) for column in columns]
     rest1, rest2 = [0] * n, [0] * n
     for i in range(n - 1, 0, -1):
@@ -475,7 +485,7 @@ def reference_allocate(p, target):
                 return True
         return False
 
-    return dict(zip(order, values)) if walk(0, bounds, 0, 0) else None
+    return dict(zip(vars, values)) if walk(0, bounds, 0, 0) else None
 
 
 class TestRegimeTables:
@@ -530,7 +540,7 @@ class TestRegimeTables:
         # A stand-in chain for regime A: 2*R2d = 2*R1d + nc has no integer solution
         # at odd nc, so R1d = 0 leaves R2d in [1/2, 1/2].
         rows = [((-2, 2, 0, 0), (1, 0, 0, 0, 0, 0)), ((2, -2, 0, 0), (-1, 0, 0, 0, 0, 0))]
-        monkeypatch.setitem(schemes._CHAINS, Regime.A, lexmin_chain(ALLOC_ORDER[Regime.A], rows))
+        monkeypatch.setitem(schemes._CHAINS, Regime.A, lexmin_chain(schemes._SYSTEMS[Regime.A][0], rows))
         with pytest.raises(SchemeError, match="no integer value of R2d fits its interval"):
             allocate(ChannelParams(1, 1, 1, 0), (0, 0))
 

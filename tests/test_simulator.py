@@ -227,6 +227,7 @@ class TestTrace:
         assert header["nc"] == 2 and header["N"] == 8 and header["delta"] == 2
         assert len({t for t, _ in signals}) == 10
         assert validate_trace(text)
+        assert validate_trace(text.replace("\n", "\n\n", 3))  # blank lines are skipped
         assert all(ok for *_, ok in events)
 
     @pytest.mark.parametrize("prefix", ["use=3 node=3 y3=", "use=3 node=1 x1="])
