@@ -267,10 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except BrokenPipeError:  # the reader closed stdout early; send the rest to devnull, so the flush at exit passes
+        code = args.fn(args)
+        sys.stdout.flush()  # a buffered stdout that cannot be written fails here, not at exit
+        return code
+    except OSError as e:  # a failed write: send the rest of stdout to devnull, so the flush at exit passes
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        # A reader that closed stdout early fails the run; any other failed write (a full disk) is an input error.
+        return 1 if isinstance(e, BrokenPipeError) else _input_error(e)
 
 
 if __name__ == "__main__":

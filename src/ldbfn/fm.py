@@ -17,9 +17,10 @@ coefficients alone, so one elimination serves every value.  A derived row with
 no coefficient left, ``0 <= form``, is a condition checked once the forms are
 filled in.  To project onto (R1, R2) both become parameters: each condition
 ``0 <= form + c1*R1 + c2*R2`` is the row ``-c1*R1 - c2*R2 <= form``, or, if
-c1 = c2 = 0, one of feasibility.  Keeping every stage allows FM
-back-substitution (Dantzig and Eaves, JCT A 1973; Schrijver, *Theory of Linear
-and Integer Programming*, 12.2): see :func:`lexmin_chain`.
+c1 = c2 = 0, one of feasibility.  :func:`lexmin_chain` runs every elimination,
+last variable first, and keeps every stage for FM back-substitution (Dantzig
+and Eaves, JCT A 1973; Schrijver, *Theory of Linear and Integer Programming*,
+12.2); :func:`project_to_rates` reads only its conditions.
 
 Redundant rows are pruned by history (Chernikov's rule, as compared in
 Imbert, "Fourier's elimination: which to choose?", PPCP 1993).  Each row
@@ -171,15 +172,6 @@ def _eliminate_rows(rows: list[HistRow], step: int, unit_bit: int, conditions: s
     return kept
 
 
-def _eliminate(rows: list[Row], count: int, conditions: set[Form]) -> list[list[HistRow]]:
-    """All ``count + 1`` stages of eliminating the first ``count`` columns; rows get history bits."""
-    conditions.update(form for coeffs, form in rows if not any(coeffs))
-    stages = [[(coeffs, form, 1 << i) for i, (coeffs, form) in enumerate(rows) if any(coeffs)]]
-    for step in range(1, count + 1):
-        stages.append(_eliminate_rows(stages[-1], step, 1 << (len(rows) + step - 1), conditions))
-    return stages
-
-
 def _as_rows(system: IneqSystem, r1_def: Mapping[str, int], r2_def: Mapping[str, int]) -> tuple:
     """The system's rows and its R1, R2 definitions as coefficient rows, all aligned to ``system.vars``."""
     for name, d in (("r1_def", r1_def), ("r2_def", r2_def)):
@@ -215,13 +207,12 @@ def evaluate_projection(conditions: Iterable[Form], values: tuple[int, ...]) -> 
 def project_to_rates(system: IneqSystem, r1_def: Mapping[str, int], r2_def: Mapping[str, int]) -> RateRegion:
     """Project onto (R1, R2) where R1/R2 are the given combinations of vars.
 
-    Eliminates the vars in declaration order.  Raises :class:`InfeasibleSystemError` for systems
-    with no solution, which is distinct from the degenerate region {(0,0)}.
+    The projection is the conditions of the vars' :func:`lexmin_chain`, which eliminates them in
+    reverse declaration order.  Raises :class:`InfeasibleSystemError` for systems with no solution,
+    which is distinct from the degenerate region {(0,0)}.
     """
-    conditions: set[Form] = set()
     rows = with_rates(*_as_rows(system, r1_def, r2_def))
-    _eliminate(rows, len(system.vars), conditions)
-    return evaluate_projection(conditions, (1,))
+    return evaluate_projection(lexmin_chain(system.vars, rows).conditions, (1,))
 
 
 def lexmin_chain(names: tuple[str, ...], rows: list[Row]) -> Chain:
@@ -231,8 +222,10 @@ def lexmin_chain(names: tuple[str, ...], rows: list[Row]) -> Chain:
     kept, ``-m*x_k + sum(a_j*x_j, j < k) <= form`` as ``(m, form + (-a_1, ..., -a_k-1))``; the
     original rows as ``form - coeffs``; and the conditions left, a projection if R1, R2 are parameters.
     """
-    conditions: set[Form] = set()
-    stages = _eliminate([(coeffs[::-1], form) for coeffs, form in rows], len(names), conditions)
+    conditions = {form for coeffs, form in rows if not any(coeffs)}
+    stages = [[(coeffs[::-1], form, 1 << i) for i, (coeffs, form) in enumerate(rows) if any(coeffs)]]
+    for step in range(1, len(names) + 1):
+        stages.append(_eliminate_rows(stages[-1], step, 1 << (len(rows) + step - 1), conditions))
     lower = tuple(tuple(sorted({(-c[0], form + tuple(-a for a in c[:0:-1])) for c, form, _ in stage if c[0] < 0}))
                   for stage in reversed(stages[:-1]))
     checks = tuple(form + tuple(-c for c in coeffs) for coeffs, form in rows)

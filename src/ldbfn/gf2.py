@@ -237,10 +237,6 @@ class SignalLayout:
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.slots)
 
-    def occupied_extent(self) -> int:
-        """Lowest level index touched by any slot (0 for an empty layout)."""
-        return max((s.stop for s in self.slots if s.length > 0), default=0)
-
 
 def pack(layout: SignalLayout, segments: Mapping[str, tuple[int, ...]]) -> BitVector:
     """Assemble a length-q vector by XOR-placing every named segment."""

@@ -86,7 +86,7 @@ class RateRegion:
 
     ``RateRegion(halfspaces)`` scales each halfspace to its primitive row, so
     ``halfspaces`` reads back that scaling.  ``vertices`` are the vertex triples
-    in the order of :func:`corner_vertices` and ``rays`` the recession rays
+    in the order of :func:`corner_points` and ``rays`` the recession rays
     (empty when bounded), both derived when the region is made.  Its sum
     capacity, corner points and integer points are stored on first use, so
     they live as long as the region.  Canonical regions are memoised and
@@ -297,21 +297,15 @@ def is_bounded(region: RateRegion) -> bool:
     return not region.rays
 
 
-def corner_vertices(region: RateRegion) -> list[Vertex]:
-    """All polytope vertices as triples ``(n1, n2, d)``, walked clockwise from the origin.
+def corner_points(region: RateRegion) -> list[RatePoint]:
+    """All polytope vertices, walked clockwise from the origin, as a fresh list.
 
     The walk starts at (0,0), climbs the R2 axis, crosses the frontier with
     R1 increasing and ends on the R1 axis.
     """
-    _check_bounded(region)
-    return list(region.vertices)
-
-
-def corner_points(region: RateRegion) -> list[RatePoint]:
-    """All polytope vertices in the order of :func:`corner_vertices`, as a fresh list."""
     if region._corners is None:
-        region._corners = tuple(RatePoint(Fraction(n1, d), Fraction(n2, d))
-                                for n1, n2, d in corner_vertices(region))
+        _check_bounded(region)
+        region._corners = tuple(RatePoint(Fraction(n1, d), Fraction(n2, d)) for n1, n2, d in region.vertices)
     return list(region._corners)
 
 

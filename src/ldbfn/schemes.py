@@ -51,7 +51,7 @@ from typing import Mapping, NamedTuple
 from .fm import (EmptyIntervalError, IneqSystem, LinearIneq, evaluate_projection, integer_lexmin, lexmin_chain,
                  walk_points, walk_table, with_rates)
 from .gf2 import SENDERS, ChannelParams, SignalLayout, Slot, gain, land
-from .regions import (RateRegion, Regime, applicable_regimes, achievable_region, corner_vertices, hs,
+from .regions import (RateRegion, Regime, applicable_regimes, achievable_region, hs,
                       outer_bound_region, regime_of, sum_capacity)
 
 
@@ -248,7 +248,7 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
 
 def integer_corners(p: ChannelParams) -> list[tuple[int, int]]:
     """Corner points of the capacity region; always integral for this model."""
-    corners = corner_vertices(achievable_region(p))
+    corners = list(achievable_region(p).vertices)
     if any(d != 1 for _, _, d in corners):
         raise SchemeError(f"non-integer corner among {corners} for {p}")
     return [(n1, n2) for n1, n2, _ in corners]

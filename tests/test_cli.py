@@ -180,6 +180,27 @@ class TestSweep:
         assert "Traceback" not in err and "Exception ignored" not in err
 
 
+SHOWCASE_RUN = ["simulate", "--nc", "2", "--ns", "3", "--nr", "1", "--nf", "1", "--r1", "2", "--r2", "1", "--blocks", "8"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("argv, to_stdout", [
+    pytest.param(["sweep", "--max", "1", "--out", "/dev/full"], False, id="sweep-out"),
+    pytest.param(SHOWCASE_RUN + ["--trace", "/dev/full"], False, id="simulate-trace"),
+    pytest.param(SHOWCASE_RUN + ["--scheme-json", "/dev/full"], False, id="simulate-scheme-json"),
+    pytest.param(["region", "--nc", "2", "--ns", "3", "--nr", "1"], True, id="region-stdout"),
+    pytest.param(["sweep", "--max", "3"], True, id="sweep-stdout"),
+])
+def test_failed_write_exits_two_without_traceback(argv, to_stdout):
+    # With stdout buffered a short output fails at main's flush, unbuffered at its first print.
+    for unbuffered in ("", "1"):
+        env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"), PYTHONUNBUFFERED=unbuffered)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "ldbfn.cli", *argv], env=env, timeout=60, text=True,
+                                  stdout=full if to_stdout else subprocess.DEVNULL, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n"), unbuffered
+
+
 class TestNetGain:
     def test_showcase_table(self, capsys):
         code, out, _ = run_cli(capsys, "netgain", "--nc", "6", "--ns", "3", "--nr", "1", "--nf-max", "2")

@@ -32,10 +32,8 @@ def ineq(coeffs, bound):
 
 
 def eliminate_all(system):
-    """Every stage of eliminating all of ``system``'s variables, and the conditions left."""
-    conditions = set()
-    stages = fm._eliminate(fm._to_rows(system.vars, system.ineqs), len(system.vars), conditions)
-    return stages, conditions
+    """The conditions left once all of ``system``'s variables are eliminated."""
+    return fm.lexmin_chain(system.vars, fm._to_rows(system.vars, system.ineqs)).conditions
 
 
 class TestEliminate:
@@ -59,14 +57,14 @@ class TestEliminate:
         assert any(chain.lower)
 
     def test_full_elimination_of_feasible_system_is_silent(self):
-        system = constraint_system(Regime.A, ChannelParams(2, 1, 3, 0))
-        stages, conditions = eliminate_all(system)
-        assert stages[-1] == []
-        assert all(b >= 0 for (b,) in conditions)
+        # Every condition 0 <= b left holds.
+        for regime, p in ((Regime.A, ChannelParams(2, 1, 3, 0)), (Regime.D, ChannelParams(2, 3, 1, 1))):
+            conditions = eliminate_all(constraint_system(regime, p))
+            assert conditions and all(b >= 0 for (b,) in conditions), regime
 
     def test_full_elimination_detects_infeasibility(self):
         system = IneqSystem(("x",), (ineq({"x": 1}, 2), ineq({"x": -1}, -3)))
-        assert any(b < 0 for (b,) in eliminate_all(system)[1])
+        assert any(b < 0 for (b,) in eliminate_all(system))
         with pytest.raises(InfeasibleSystemError):
             project_to_rates(system, {"x": 1}, {"x": 1})
 
@@ -211,6 +209,22 @@ class TestProjectToRates:
         system = IneqSystem(("x",), (ineq({"x": 1}, 1),))
         with pytest.raises(ValueError):
             project_to_rates(system, {"x": -1}, {"x": 1})
+
+    # Degenerate inputs pinned to their rows, vertices and rays; an infeasible pair is pinned by
+    # test_full_elimination_detects_infeasibility.
+    @pytest.mark.parametrize("system, r1_def, r2_def, rows, vertices, rays", [
+        pytest.param(IneqSystem((), ()), {}, {}, ((0, 1, 0), (1, 0, 0)), ((0, 0, 1),), (), id="no-variables"),
+        pytest.param(IneqSystem(("x", "y"), ()), {"x": 1}, {"y": 1}, (), ((0, 0, 1),), ((1, 0), (0, 1)),
+                     id="no-inequalities"),
+        pytest.param(IneqSystem(("x", "y"), (ineq({"x": 1, "y": 1}, 3),)), {}, {}, ((0, 1, 0), (1, 0, 0)),
+                     ((0, 0, 1),), (), id="zero-rate-definitions"),
+        pytest.param(IneqSystem(("x", "y"), (ineq({"x": 1, "y": -2}, 1), ineq({"y": 1}, 2))), {"x": 1}, {"y": 1},
+                     ((0, 1, 2), (1, -2, 1)), ((0, 0, 1), (0, 2, 1), (1, 0, 1), (5, 2, 1)), (),
+                     id="negative-coefficient"),
+    ])
+    def test_degenerate_systems(self, system, r1_def, r2_def, rows, vertices, rays):
+        region = project_to_rates(system, r1_def, r2_def)
+        assert (region.rows, region.vertices, region.rays) == (rows, vertices, rays)
 
 
 def reference_projection(system, r1_def, r2_def):

@@ -22,7 +22,6 @@ from ldbfn import (
     regions_equal,
     unpack,
 )
-from ldbfn import fm
 from ldbfn.fm import IneqSystem
 from ldbfn.regions import Halfspace, canonicalize, corner_points
 
@@ -101,15 +100,6 @@ def test_elimination_order_independence():
             rng.shuffle(order)
             shuffled = IneqSystem(tuple(order), system.ineqs)
             assert regions_equal(project_to_rates(shuffled, *defs), reference)
-
-
-def test_full_elimination_leaves_only_trivial_constants():
-    for p in (ChannelParams(2, 1, 3, 0), ChannelParams(2, 3, 1, 1)):
-        system = constraint_system(regime_of(p), p)
-        conditions = set()
-        stages = fm._eliminate(fm._to_rows(system.vars, system.ineqs), len(system.vars), conditions)
-        # No row keeps a coefficient, and every condition 0 <= b holds.
-        assert stages[-1] == [] and all(b >= 0 for (b,) in conditions)
 
 
 def test_region_monotonicity_over_lattice():
