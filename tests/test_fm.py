@@ -58,9 +58,8 @@ class TestEliminate:
 
     def test_full_elimination_of_feasible_system_is_silent(self):
         # Every condition 0 <= b left holds.
-        for regime, p in ((Regime.A, ChannelParams(2, 1, 3, 0)), (Regime.D, ChannelParams(2, 3, 1, 1))):
-            conditions = eliminate_all(constraint_system(regime, p))
-            assert conditions and all(b >= 0 for (b,) in conditions), regime
+        conditions = eliminate_all(constraint_system(Regime.A, ChannelParams(2, 1, 3, 0)))
+        assert conditions and all(b >= 0 for (b,) in conditions)
 
     def test_full_elimination_detects_infeasibility(self):
         system = IneqSystem(("x",), (ineq({"x": 1}, 2), ineq({"x": -1}, -3)))

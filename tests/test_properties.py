@@ -22,7 +22,7 @@ from ldbfn import (
     regions_equal,
     unpack,
 )
-from ldbfn.fm import IneqSystem
+from ldbfn.fm import IneqSystem, _to_rows, lexmin_chain
 from ldbfn.regions import Halfspace, canonicalize, corner_points
 
 
@@ -100,6 +100,14 @@ def test_elimination_order_independence():
             rng.shuffle(order)
             shuffled = IneqSystem(tuple(order), system.ineqs)
             assert regions_equal(project_to_rates(shuffled, *defs), reference)
+
+
+def test_full_elimination_leaves_only_trivial_constants():
+    for p in (ChannelParams(2, 1, 3, 0), ChannelParams(2, 3, 1, 1)):
+        system = constraint_system(regime_of(p), p)
+        conditions = lexmin_chain(system.vars, _to_rows(system.vars, system.ineqs)).conditions
+        # Every condition left is a constant 0 <= b, and each holds.
+        assert conditions and all(len(form) == 1 and form[0] >= 0 for form in conditions)
 
 
 def test_region_monotonicity_over_lattice():
