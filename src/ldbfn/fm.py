@@ -20,7 +20,11 @@ filled in.  To project onto (R1, R2) both become parameters: each condition
 c1 = c2 = 0, one of feasibility.  :func:`lexmin_chain` runs every elimination,
 last variable first, and keeps every stage for FM back-substitution (Dantzig
 and Eaves, JCT A 1973; Schrijver, *Theory of Linear and Integer Programming*,
-12.2); :func:`project_to_rates` reads only its conditions.
+12.2); :func:`project_to_rates` reads only its conditions.  On a chain's first
+use, :func:`integer_lexmin` compiles its back-substitution into one
+straight-line function (:func:`kernel_source`), kept on the chain: one
+expression per lower row with its nonzero terms only, instead of a dot product
+over every coefficient.
 
 Redundant rows are pruned by history (Chernikov's rule, as compared in
 Imbert, "Fourier's elimination: which to choose?", PPCP 1993).  Each row
@@ -45,9 +49,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .regions import RateRegion, canonical_region
 
@@ -72,13 +77,22 @@ class EnumerationLimitError(RuntimeError):
     """The integer enumeration would exceed the combination budget."""
 
 
-class Chain(NamedTuple):
+@dataclass(frozen=True)
+class Chain:
     """FM back-substitution table (see :func:`lexmin_chain`)."""
 
     names: tuple[str, ...]
     lower: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     checks: tuple[tuple[int, ...], ...]
     conditions: tuple[Form, ...]
+
+    @cached_property
+    def kernel(self) -> Callable[[tuple[int, ...]], list[int] | int]:
+        """The table's back-substitution as one compiled function (see :func:`kernel_source`),
+        compiled on first use and kept on this chain."""
+        namespace: dict = {}
+        exec(compile(kernel_source(self), "<lexmin kernel>", "exec"), namespace)
+        return namespace["kernel"]
 
 
 class SystemParseError(ValueError):
@@ -232,27 +246,51 @@ def lexmin_chain(names: tuple[str, ...], rows: list[Row]) -> Chain:
     return Chain(names, lower, checks, tuple(sorted(conditions)))
 
 
+def _linear(vec: Sequence[int], names: Sequence[str]) -> str:
+    """``vec . names`` as source, only its nonzero terms, such as ``p0-x1+2*x2``; ``0`` if none."""
+    terms = "".join(f"{c:+d}*{v}".replace("+1*", "+").replace("-1*", "-") for c, v in zip(vec, names) if c)
+    return terms.lstrip("+") or "0"
+
+
+def kernel_source(chain: Chain) -> str:
+    """The source of ``chain.kernel(params)``: :func:`integer_lexmin`'s values as a list, or the
+    index of the first original row they fail.
+
+    Parameters are ``p0, p1, ...`` and columns ``x0, x1, ...`` in order, so no name of the chain
+    reaches the source; coefficients are formatted as ints.  Column k is the largest of 0 and the
+    ceiling ``-(form // m)`` of each of its stage's lower rows (``-form`` when m = 1)."""
+    n = len(chain.names)
+    width = len(chain.checks[0]) - n if chain.checks else 0
+    point = [f"p{i}" for i in range(width)] + [f"x{k}" for k in range(n)]
+    lines = ["def kernel(params):"]
+    if width:
+        lines.append(f"    {', '.join(point[:width])}, = params")
+    for k, lows in enumerate(chain.lower):
+        bounds = [_linear([-c for c in vec], point) if m == 1 else f"-(({_linear(vec, point)}) // {m:d})"
+                  for m, vec in lows]
+        lines.append(f"    x{k} = max(0, {', '.join(bounds)})" if bounds else f"    x{k} = 0")
+    for i, vec in enumerate(chain.checks):
+        lines += [f"    if {_linear(vec, point)} < 0:", f"        return {i}"]
+    lines.append(f"    return [{', '.join(point[width:])}]")
+    return "\n".join(lines) + "\n"
+
+
 def integer_lexmin(chain: Chain, params: tuple[int, ...]) -> list[int]:
-    """The chain's integer lexicographic minimum at ``params``.
+    """The chain's integer lexicographic minimum at ``params``, computed by ``chain.kernel``.
 
     Each column takes the ceiling of its lower bound at its stage (at least 0), which integer points
     agreeing on the earlier columns respect: a point passing the original rows is the minimum.  Else
-    :class:`EmptyIntervalError` names the last column of a failing original row, its upper bound.
+    :class:`EmptyIntervalError` names the last column of a failing original row, its upper bound, and
+    a failing row without a column is a failed condition on ``params`` alone, an
+    :class:`InfeasibleSystemError`.
     """
-    names, lower, checks, _ = chain
-    point = list(params)
-    for lows in lower:
-        x = 0
-        for m, vec in lows:
-            lo = -(sum(map(mul, vec, point)) // m)
-            if lo > x:
-                x = lo
-        point.append(x)
-    for vec in checks:
-        if sum(map(mul, vec, point)) < 0:
-            last = max(i for i, c in enumerate(vec[len(params):]) if c)
-            raise EmptyIntervalError(f"no integer value of {names[last]} fits its interval")
-    return point[len(params):]
+    out = chain.kernel(params)
+    if type(out) is list:
+        return out
+    columns = [i for i, c in enumerate(chain.checks[out][len(params):]) if c]
+    if not columns:
+        raise InfeasibleSystemError("system is infeasible")
+    raise EmptyIntervalError(f"no integer value of {chain.names[columns[-1]]} fits its interval")
 
 
 def enumerate_integer_projection(

@@ -187,19 +187,25 @@ class RateAllocation:
 
     The names and values are checked once, when the instance is made; ``xs``
     holds the values in the order of the regime's variables, a variable not
-    given read as 0.
+    given read as 0.  ``feedback_levels``, stored beside it, is the number of
+    feedback levels the scheme occupies per use (the extent of its ``xf``
+    layout): the largest left side among the regime's rows bounded by ``nf``,
+    0 in a regime without one.
     """
 
     regime: Regime
     values: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        vars = _SYSTEMS[self.regime][0]
+        vars, rows, forms, _ = _SYSTEMS[self.regime]
         for name, value in self.values:
             if name not in vars or type(value) is not int or value < 0:
                 raise ValueError(f"{name} = {value} is not a non-negative integer value of a regime {self.regime.value} variable")
         get = self.as_dict().get
-        object.__setattr__(self, "xs", tuple(get(v, 0) for v in vars))
+        xs = tuple(get(v, 0) for v in vars)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "feedback_levels",
+                           max((sum(map(mul, row, xs)) for row, form in zip(rows, forms) if form == _NF), default=0))
 
     @classmethod
     def of(cls, regime: Regime, values: Mapping[str, int]) -> "RateAllocation":
@@ -211,13 +217,6 @@ class RateAllocation:
     def rate_pair(self) -> tuple[int, int]:
         r1, r2 = _SYSTEMS[self.regime][3]
         return sum(map(mul, r1, self.xs)), sum(map(mul, r2, self.xs))
-
-    @property
-    def feedback_levels(self) -> int:
-        """Feedback levels the scheme occupies per use (the extent of its ``xf`` layout): the largest
-        left side among the regime's rows bounded by ``nf``, 0 in a regime without one."""
-        _, rows, forms, _ = _SYSTEMS[self.regime]
-        return max((sum(map(mul, row, self.xs)) for row, form in zip(rows, forms) if form == _NF), default=0)
 
 
 def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:

@@ -20,7 +20,14 @@ and the drawn bit is the output's top bit.  A seed of 0 (mod 2^64) is
 replaced by 0x9E3779B97F4A7C15 because the all-zero state is a fixed point.
 Blocks are drawn for block index 1..N in order, message streams in sorted
 name order; a block is an int as long as its stream, its first draw (the
-top level) the most significant bit.
+top level) the most significant bit.  So every run with one seed reads a
+prefix of the same bit stream: the draws of the last seed asked are kept as
+one string of "0"/"1", extended on demand, and each block is sliced off it,
+which leaves the bits and their order as above.
+
+Each node's decode plan is compiled once per run, with which ``Read`` merges
+into an earlier decode of its (stream, offset) and the order in which its
+blocks are first decoded, so a decode keeps no per-use record.
 """
 
 from __future__ import annotations
@@ -74,14 +81,33 @@ class MessageSet:
     blocks: Mapping[str, tuple[int, ...]]
 
 
+# The last seed asked, its generator's state after ``bits``, and its draws so far as "0"/"1".
+_draws: tuple = (None, 0, "")
+
+
+def _seed_bits(seed: int, n: int) -> str:
+    """At least the first ``n`` draws of ``seed``, extending the kept string if it is shorter."""
+    global _draws
+    last, state, bits = _draws
+    if last != seed:
+        state, bits = seed, ""
+    if len(bits) < n:
+        rng, k = XorShift64Star(state), n - len(bits)  # a state after draws is never 0
+        bits += format(rng.word(k), f"0{k}b")
+        _draws = (seed, rng.state, bits)
+    return bits
+
+
 def generate_messages(scheme: Scheme, n_blocks: int, seed: int) -> MessageSet:
-    rng = XorShift64Star(seed)
     streams = sorted(scheme.message_streams())
-    blocks: dict[str, list[int]] = {s: [] for s in streams}
-    for _ in range(n_blocks):
-        for s in streams:
-            blocks[s].append(rng.word(scheme.stream_lengths[s]))
-    return MessageSet(n_blocks, seed, {s: tuple(v) for s, v in blocks.items()})
+    lengths = [scheme.stream_lengths[s] for s in streams]
+    width = sum(lengths) or 1  # a block's draws; 1 if all are empty, so each block still has a start
+    bits = _seed_bits(seed, n_blocks * width)
+    blocks, start = {}, 0
+    for s, n in zip(streams, lengths):
+        blocks[s] = tuple(int(bits[i:i + n] or "0", 2) for i in range(start, n_blocks * width, width))
+        start += n
+    return MessageSet(n_blocks, seed, blocks)
 
 
 class DecodeEvent(NamedTuple):
@@ -261,26 +287,31 @@ def _compile_transmit(scheme: Scheme, stores: list[dict[str, list]], q: int) -> 
     return tuple(signals)
 
 
-def _compile_decode(scheme: Scheme, node: int, store: dict[str, list], zeros: list, q: int) -> tuple:
-    """A node's decode plan as kind-tagged tuples of shifts, masks and block lists."""
+def _compile_decode(scheme: Scheme, node: int, store: dict[str, list], zeros: list, q: int,
+                    truth: dict[str, list]) -> tuple:
+    """A node's decode plan as kind-tagged tuples of shifts, masks and block lists, and its decode
+    keys (offset, stream, blocks, truth) in first-decode order.  A ``Read`` of a (stream, offset)
+    an earlier ``Read`` or ``Combine`` decoded merges into it: it fills in only its own bits."""
     lengths = scheme.stream_lengths
-    steps = []
+    steps, keys = [], {}
     for step in scheme.decode_plans[node]:
         if isinstance(step, Subtract):
             steps.append((_SUBTRACT, step.offset, step.stream, store[step.stream],
                           lengths[step.stream] - step.length, q - step.pos - step.length))
-        elif isinstance(step, Read):
-            shift = lengths[step.stream] - step.at - step.length
+            continue
+        stream = step.stream if isinstance(step, Read) else step.target
+        key = (stream, step.offset)
+        if isinstance(step, Read):
+            shift = lengths[stream] - step.at - step.length
             mask = ((1 << step.length) - 1) << shift
-            steps.append((_READ, step.offset, step.stream, store[step.stream],
-                          q - step.pos - step.length, shift, mask))
+            steps.append((_READ, step.offset, store[stream], q - step.pos - step.length, shift, mask, key in keys))
         else:  # Combine; a zero-rate component reads as 0
             width = max(lengths.get(step.a, 0), lengths.get(step.b, 0))
             a, b = ((s, store[s] if s in lengths else zeros, width - lengths.get(s, 0))
                     for s in (step.a, step.b))
-            steps.append((_COMBINE, step.offset, step.target, store[step.target],
-                          *a, *b, width - lengths[step.target]))
-    return tuple(steps)
+            steps.append((_COMBINE, step.offset, store[stream], *a, *b, width - lengths[stream]))
+        keys.setdefault(key, (step.offset, stream, store[stream], truth[stream]))
+    return tuple(steps), tuple(keys.values())
 
 
 def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunReport]:
@@ -302,7 +333,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
         stores[Scheme.owner(stream)][stream][1:] = messages.blocks[stream]
     zeros = [0] * (n_blocks + 1)
     signals = _compile_transmit(scheme, stores, q)
-    plans = [_compile_decode(scheme, node, stores[node], zeros, q) for node in range(5)]
+    plans = [_compile_decode(scheme, node, stores[node], zeros, q, truth) for node in range(5)]
 
     decodes: list[tuple] = []
 
@@ -313,8 +344,8 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
         return value
 
     def decode(node: int, t: int, work: int) -> None:
-        decoded: dict[tuple[str, int], list] = {}  # this use's blocks, in decode order
-        for step in plans[node]:
+        steps, keys = plans[node]
+        for step in steps:
             idx = t + step[1]
             if not 1 <= idx <= n_blocks:
                 continue
@@ -322,25 +353,22 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
                 _, _, stream, blocks, head, shift = step
                 work ^= known(blocks, stream, idx, node, t) >> head << shift
             elif step[0] == _READ:
-                _, _, stream, blocks, down, shift, mask = step
+                _, _, blocks, down, shift, mask, merge = step
                 levels = (work >> down << shift) & mask
-                key = (stream, idx)
-                if key in decoded:  # a later read of a block fills in more of its bits
-                    levels |= blocks[idx] & ~mask
-                decoded[key] = blocks
-                blocks[idx] = levels
+                blocks[idx] = levels | blocks[idx] & ~mask if merge else levels
             else:
-                _, _, target, blocks, a, blocks_a, shift_a, b, blocks_b, shift_b, cut = step
+                _, _, blocks, a, blocks_a, shift_a, b, blocks_b, shift_b, cut = step
                 mixed = (known(blocks_a, a, idx, node, t) << shift_a
                          ^ known(blocks_b, b, idx, node, t) << shift_b)
-                decoded[(target, idx)] = blocks
                 blocks[idx] = mixed >> cut
-        for (stream, idx), blocks in decoded.items():
-            decodes.append((t, node, stream, idx, blocks[idx] == truth[stream][idx]))
+        for offset, stream, blocks, want in keys:
+            idx = t + offset
+            if 1 <= idx <= n_blocks:
+                decodes.append((t, node, stream, idx, blocks[idx] == want[idx]))
 
     # A node without a plan is skipped; node k's received word is ws[4 + k].
-    forward = [node for node in (0, 1, 2) if plans[node]]
-    backward = [node for node in (3, 4) if plans[node]]
+    forward = [node for node in (0, 1, 2) if plans[node][0]]
+    backward = [node for node in (3, 4) if plans[node][0]]
     words: list[tuple[int, ...]] = []
     for t in range(1, n_uses + 1):
         sent = []

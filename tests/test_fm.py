@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -102,7 +103,77 @@ def brute_lexmin(rows, box, params):
     return None
 
 
+def reference_lexmin(chain, params):
+    """``integer_lexmin`` by the chain's table, one dot product per row: back-substitute, then check."""
+    point = list(params)
+    for lows in chain.lower:
+        point.append(max([0] + [-(sum(a * b for a, b in zip(vec, point)) // m) for m, vec in lows]))
+    for vec in chain.checks:
+        if sum(a * b for a, b in zip(vec, point)) < 0:
+            columns = [i for i, c in enumerate(vec[len(params):]) if c]
+            if not columns:
+                raise InfeasibleSystemError("system is infeasible")
+            raise EmptyIntervalError(f"no integer value of {chain.names[columns[-1]]} fits its interval")
+    return point[len(params):]
+
+
+def outcome(lexmin, chain, params):
+    """The values ``lexmin`` returns, or the type and text of the error it raises."""
+    try:
+        return lexmin(chain, params)
+    except (EmptyIntervalError, InfeasibleSystemError) as e:
+        return type(e), str(e)
+
+
+def random_rows(rng, n, width):
+    """Rows over ``n`` variables with bound forms over ``width`` parameters, some without a variable."""
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(n)) if rng.random() < 0.9 else (0,) * n
+        rows.append((coeffs, tuple(rng.randint(-2, 3) for _ in range(width))))
+    return rows
+
+
 class TestLexmin:
+    def test_kernel_matches_the_reference_back_substitution(self):
+        rng = random.Random(27)
+        outcomes = set()
+        for _ in range(400):
+            n, width = rng.randint(1, 4), rng.randint(1, 3)
+            chain = fm.lexmin_chain(tuple(f"v{i}" for i in range(n)), random_rows(rng, n, width))
+            for _ in range(4):
+                params = tuple(rng.randint(-3, 4) for _ in range(width))
+                want = outcome(reference_lexmin, chain, params)
+                assert outcome(fm.integer_lexmin, chain, params) == want, (chain, params)
+                outcomes.add(want[0] if type(want) is tuple else list)
+        assert outcomes == {list, EmptyIntervalError, InfeasibleSystemError}
+
+    def test_names_never_reach_the_kernel_source(self):
+        # The same table under hostile names: the same values, and an error naming the column.
+        names = ("x; import os", "__import__('os').system('false')", "y\n    return [0]")
+        rows = [((1, 1, 1), (4, 0)), ((-1, 0, -2), (-1, -1)), ((0, 2, -2), (0, 1)), ((0, -2, 2), (0, -1))]
+        chain = fm.lexmin_chain(names, rows)
+        source = fm.kernel_source(chain)
+        assert not any(name in source for name in names) and "import" not in source
+        assert source == fm.kernel_source(fm.lexmin_chain(("a", "b", "c"), rows))
+        # 2*(y - z) = p1 holds at p1 = 0 and has no integer solution at p1 = 1.
+        assert fm.integer_lexmin(chain, (1, 0)) == reference_lexmin(chain, (1, 0)) == [0, 1, 1]
+        with pytest.raises(EmptyIntervalError, match=f"^no integer value of {re.escape(names[2])} fits its interval$"):
+            fm.integer_lexmin(chain, (1, 1))
+
+    def test_kernel_is_compiled_once_per_chain(self):
+        chain = fm.lexmin_chain(("x",), [((-2,), (-1,)), ((1,), (3,))])
+        kernel = chain.kernel
+        assert fm.integer_lexmin(chain, (1,)) == [1] and chain.kernel is kernel
+        other = fm.lexmin_chain(("x",), [((-3,), (-1,)), ((1,), (3,))])
+        assert other.kernel is not kernel and fm.integer_lexmin(other, (1,)) == [1]
+
+    def test_check_row_without_a_variable_is_infeasible(self):
+        # 0 <= -1 fails at every value of x; no column is there to name.
+        chain = fm.lexmin_chain(("x",), [((0,), (-1,)), ((1,), (3,))])
+        with pytest.raises(InfeasibleSystemError, match="^system is infeasible$"):
+            fm.integer_lexmin(chain, (1,))
+
     def test_empty_interval_names_the_variable(self):
         # 2y = 2x + 1 has rational but no integer solutions: x = 0 leaves y in [1/2, 1/2].
         rows = [((-2, 2), (1,)), ((2, -2), (-1,))]

@@ -304,6 +304,33 @@ class TestPrng:
         b = generate_messages(scheme, 5, 7)
         assert a.blocks == b.blocks
 
+    @staticmethod
+    def reference_messages(scheme, n_blocks, seed):
+        """The documented order: block 1..N, streams sorted by name, one word per stream."""
+        rng = XorShift64Star(seed)
+        streams = sorted(scheme.message_streams())
+        words = [[rng.word(scheme.stream_lengths[s]) for s in streams] for _ in range(n_blocks)]
+        return {s: tuple(block[i] for block in words) for i, s in enumerate(streams)}
+
+    def test_messages_slice_the_seed_draws_in_order(self):
+        schemes = [scheme_for(ChannelParams(2, 3, 1, 1), (2, 1)), scheme_for(ChannelParams(3, 2, 4, 0), (2, 2))]
+        for n_blocks in (3, 4, 9, 17, 64):
+            for seed in (1, 7, 1, 0):
+                for scheme in schemes:
+                    got = generate_messages(scheme, n_blocks, seed)
+                    assert (got.n_blocks, got.seed) == (n_blocks, seed)
+                    assert got.blocks == self.reference_messages(scheme, n_blocks, seed), (n_blocks, seed)
+
+    def test_short_run_after_a_long_one(self, monkeypatch):
+        # The second run slices its draws off the front of the long run's string.
+        scheme = scheme_for(ChannelParams(2, 3, 1, 1), (2, 1))
+        run(scheme, n_blocks=2048, seed=1)
+        assert len(simulator._draws[2]) >= 2048 * 3  # three one-bit message streams
+        trace, report = run(scheme, n_blocks=3, seed=1)
+        assert generate_messages(scheme, 3, 1).blocks == self.reference_messages(scheme, 3, 1)
+        monkeypatch.setattr(simulator, "_draws", (None, 0, ""))
+        assert run(scheme, n_blocks=3, seed=1) == (trace, report) and not report.errors
+
 
 class TestSweep:
     def test_lexmin_corners_are_zero_error_for_every_message(self):
@@ -317,6 +344,43 @@ class TestSweep:
         split = (Read("csum", -1, 0, 1, at=0), Read("csum", -1, 3, 1, at=1))
         assert scheme.decode_plans[3][:2] == scheme.decode_plans[4][:2] == split
         assert failing_messages(scheme) == (33, [])
+
+    # (3, 2, 4, 0) -> (2, 2): destination 3 reads csum[t - 1] in two pieces at y3 levels 0 and 3
+    # and c2[t] at levels 1-2.  Each case sends one (c1, c2) in every block; with (3, 0) every
+    # csum bit is 1, so a read that dropped the other piece would fail.
+    MERGE_PLANS = {
+        "read after read": (
+            (Read("csum", -1, 0, 1, at=0), Read("csum", -1, 3, 1, at=1)), (3, 0),
+            [(4, 3, "csum", 3, True), (3, 3, "csum", 2, True), (2, 3, "csum", 1, True)],
+        ),
+        # Combine c1 = csum ^ c2, then read c1's low bit off level 2 (c2's, equal here).
+        "read after combine": (
+            (Read("csum", -1, 0, 1, at=0), Read("csum", -1, 3, 1, at=1), Read("c2", 0, 1, 2),
+             Combine("c1", "csum", "c2", 0), Read("c1", 0, 2, 1, at=1)), (3, 3),
+            [(4, 3, "csum", 3, True),
+             (3, 3, "csum", 2, True), (3, 3, "c2", 3, True), (3, 3, "c1", 3, True),
+             (2, 3, "csum", 1, True), (2, 3, "c2", 2, True), (2, 3, "c1", 2, True),
+             (1, 3, "c2", 1, True), (1, 3, "c1", 1, True)],
+        ),
+        # csum[t] is another block: its read does not merge into csum[t - 1], so each holds one bit.
+        "another offset": (
+            (Read("csum", -1, 0, 1, at=0), Read("csum", 0, 3, 1, at=1)), (3, 0),
+            [(4, 3, "csum", 3, False),
+             (3, 3, "csum", 2, False), (3, 3, "csum", 3, False),
+             (2, 3, "csum", 1, False), (2, 3, "csum", 2, False),
+             (1, 3, "csum", 1, False)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", MERGE_PLANS)
+    def test_read_merges_into_an_earlier_decode_of_its_block(self, case, monkeypatch):
+        plan, (c1, c2), events = self.MERGE_PLANS[case]
+        scheme = scheme_for(ChannelParams(3, 2, 4, 0), (2, 2))
+        scheme = dataclasses.replace(scheme, decode_plans={**scheme.decode_plans, 3: plan})
+        messages = simulator.MessageSet(3, 0, {"c1": (c1,) * 3, "c2": (c2,) * 3})
+        monkeypatch.setattr(simulator, "generate_messages", lambda *_: messages)
+        trace, _ = run(scheme, n_blocks=3, seed=0)
+        assert [d for d in trace.decodes if d[1] == 3] == events
 
     def test_showcase_has_five_corners(self):
         assert len(integer_corners(ChannelParams(2, 3, 1, 1))) == 5
