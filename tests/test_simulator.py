@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -123,6 +124,20 @@ class TestRun:
             _, report = run(scheme, n_blocks=n, seed=2)
             assert report.delivered_bits == (2 * n, n)
             assert report.achieved == (Fraction(2 * n, n + 2), Fraction(n, n + 2))
+
+    def test_outputs_of_every_small_corner_are_pinned(self):
+        # A sha256 over each lexmin corner of [0,3]^4 in lattice order, its (N, seed) runs in turn:
+        # the trace dump, then the run report as sorted JSON.
+        digest = hashlib.sha256()
+        for levels in product(range(4), repeat=4):
+            p = ChannelParams(*levels)
+            for corner in integer_corners(p):
+                scheme = scheme_for(p, corner)
+                for n_blocks, seed in ((3, 1), (8, 1), (5, 7)):
+                    trace, report = run(scheme, n_blocks, seed)
+                    digest.update(trace.dump().encode())
+                    digest.update(json.dumps(report.to_jsonable(), sort_keys=True).encode())
+        assert digest.hexdigest() == "a40f90e8a9c1ef90f298abca1eba6e1818ea32cf696b8fd89a12b775b0729aed"
 
     def test_too_few_blocks_rejected(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 1))
