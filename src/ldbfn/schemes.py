@@ -45,12 +45,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from operator import mul
 from typing import Mapping, NamedTuple
 
 from .fm import (EmptyIntervalError, IneqSystem, LinearIneq, evaluate_projection, integer_lexmin, lexmin_chain,
                  walk_points, walk_table, with_rates)
-from .gf2 import SENDERS, ChannelParams, SignalLayout, Slot, gain, land
+from .gf2 import ChannelParams, SignalLayout, Slot, gain, land
 from .regions import (RateRegion, Regime, applicable_regimes, achievable_region, hs,
                       outer_bound_region, regime_of, sum_capacity)
 
@@ -165,6 +166,9 @@ def _alloc_rows(regime: Regime) -> list:
 
 
 _CHAINS = {r: lexmin_chain(_SYSTEMS[r][0], _alloc_rows(r)) for r in Regime}
+# What a RateAllocation reads of its regime: each variable's column, and the rows bounded by nf.
+_VIEWS = {r: ({v: i for i, v in enumerate(vars)}, [row for row, form in zip(rows, forms) if form == _NF])
+          for r, (vars, rows, forms, _) in _SYSTEMS.items()}
 _WALKS = {r: walk_table(_SYSTEMS[r][1], *_SYSTEMS[r][3]) for r in Regime}
 
 
@@ -185,27 +189,30 @@ def enumerated_points(regime: Regime, p: ChannelParams) -> set[tuple[int, int]]:
 class RateAllocation:
     """Feasible integer assignment of the regime's component rates.
 
-    The names and values are checked once, when the instance is made; ``xs``
-    holds the values in the order of the regime's variables, a variable not
-    given read as 0.  ``feedback_levels``, stored beside it, is the number of
-    feedback levels the scheme occupies per use (the extent of its ``xf``
-    layout): the largest left side among the regime's rows bounded by ``nf``,
-    0 in a regime without one.
+    The names and values are checked once, when the instance is made, and a
+    name given twice is rejected; ``xs`` holds the values in the order of the
+    regime's variables, a variable not given read as 0.  ``feedback_levels``,
+    stored beside it, is the number of feedback levels the scheme occupies per
+    use (the extent of its ``xf`` layout): the largest left side among the
+    regime's rows bounded by ``nf``, 0 in a regime without one.
     """
 
     regime: Regime
     values: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        vars, rows, forms, _ = _SYSTEMS[self.regime]
+        columns, nf_rows = _VIEWS[self.regime]
+        xs = [None] * len(columns)
         for name, value in self.values:
-            if name not in vars or type(value) is not int or value < 0:
+            i = columns.get(name)
+            if i is None or type(value) is not int or value < 0:
                 raise ValueError(f"{name} = {value} is not a non-negative integer value of a regime {self.regime.value} variable")
-        get = self.as_dict().get
-        xs = tuple(get(v, 0) for v in vars)
+            if xs[i] is not None:
+                raise ValueError(f"{name} is given more than once")
+            xs[i] = value
+        xs = tuple(x or 0 for x in xs)
         object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "feedback_levels",
-                           max((sum(map(mul, row, xs)) for row, form in zip(rows, forms) if form == _NF), default=0))
+        object.__setattr__(self, "feedback_levels", max((sum(map(mul, row, xs)) for row in nf_rows), default=0))
 
     @classmethod
     def of(cls, regime: Regime, values: Mapping[str, int]) -> "RateAllocation":
@@ -242,7 +249,7 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
         values = integer_lexmin(_CHAINS[regime], (p.nc, p.ns, p.nr, p.nf, t1, t2))
     except EmptyIntervalError as e:
         raise SchemeError(f"{e}: no integer allocation reaches {target} for {p} (regime {regime.value})") from None
-    return RateAllocation.of(regime, dict(zip(_SYSTEMS[regime][0], values)))
+    return RateAllocation(regime, tuple(sorted(zip(_SYSTEMS[regime][0], values))))
 
 
 def integer_corners(p: ChannelParams) -> list[tuple[int, int]]:
@@ -296,6 +303,11 @@ class Binding(NamedTuple):
 class TransmitPlan:
     layout: SignalLayout
     bindings: tuple[Binding, ...]
+
+
+@cache
+def _empty_plan(q: int) -> TransmitPlan:
+    return TransmitPlan(SignalLayout(q, ()), ())
 
 
 class Subtract(NamedTuple):
@@ -406,9 +418,9 @@ class _Builder:
         self.rates = alloc.rate_pair()
         self.streams: dict[str, int] = {}
         self.sums: dict[str, tuple[str, ...]] = {}
-        self.named: dict[str, dict[str, Slot]] = {k: {} for k in SENDERS}
-        self.bindings: dict[str, list[Binding]] = {k: [] for k in SENDERS}
-        self.overlaps: dict[str, set[frozenset[str]]] = {k: set() for k in SENDERS}
+        self.named: dict[str, dict[str, Slot]] = {"x1": {}, "x2": {}, "xr": {}, "xf": {}}  # SENDERS order
+        self.bindings: dict[str, list[Binding]] = {"x1": [], "x2": [], "xr": [], "xf": []}
+        self.overlaps: dict[str, set[frozenset[str]]] = {"x1": set(), "x2": set(), "xr": set(), "xf": set()}
         self.plans: dict[int, list[DecodeStep]] = {0: [], 1: [], 2: [], 3: [], 4: []}
 
     def stream(self, name: str, length: int) -> None:
@@ -463,26 +475,27 @@ class _Builder:
             self.plans[node].append(Combine(target, a, b, offset))
 
     def build(self) -> Scheme:
+        # A signal without a slot has nothing to validate or bind, and its plan is immutable and
+        # depends on q alone, so every such signal shares the one plan made for its q.
+        q = self.p.q
         transmit = {
-            key: TransmitPlan(
-                SignalLayout(self.p.q, tuple(self.named[key].values()), frozenset(self.overlaps[key])),
-                tuple(self.bindings[key]),
-            )
-            for key in SENDERS
+            key: TransmitPlan(SignalLayout(q, tuple(named.values()), frozenset(self.overlaps[key])),
+                              tuple(self.bindings[key])) if named else _empty_plan(q)
+            for key, named in self.named.items()
         }
         # The relay occupies only its top nr in-band and nf feedback levels, as the rows that
         # build_scheme checks first imply: every xr slot in B, C and D stops at or below nr by
         # construction, and A's lowest one (csum_lo) at nr - nc + Rc1 + 2*Rc2 + R1d + R2d <= nr by
         # A's nc row; xf (C and D only) stops at max(R1f, R2f) plus the Rbarf parts, at most nf by
         # the two nf rows.
-        look = [1] + [-b.offset for key in ("x1", "x2") for b in transmit[key].bindings]
+        look = [1] + [-b.offset for key in ("x1", "x2") for b in self.bindings[key]]
         # Destination j + 2 delivers source j's message streams.
         messages = [s for s in self.streams if s not in self.sums]
         return Scheme(
             params=self.p,
             alloc=self.alloc,
-            stream_lengths=dict(self.streams),
-            sums=dict(self.sums),
+            stream_lengths=self.streams,
+            sums=self.sums,
             transmit=transmit,
             decode_plans={n: tuple(steps) for n, steps in self.plans.items()},
             delivered={j + 2: tuple(s for s in messages if Scheme.owner(s) == j) for j in (1, 2)},

@@ -22,12 +22,14 @@ Blocks are drawn for block index 1..N in order, message streams in sorted
 name order; a block is an int as long as its stream, its first draw (the
 top level) the most significant bit.  So every run with one seed reads a
 prefix of the same bit stream: the draws of the last seed asked are kept as
-one string of "0"/"1", extended on demand, and each block is sliced off it,
-which leaves the bits and their order as above.
+one string of "0"/"1", extended on demand; a run reads its prefix as one int
+and cuts each block off it, which leaves the bits and their order as above.
 
-Each node's decode plan is compiled once per run, with which ``Read`` merges
-into an earlier decode of its (stream, offset) and the order in which its
-blocks are first decoded, so a decode keeps no per-use record.
+Only signals with bindings and nodes with a decode plan are compiled and
+visited; a signal without bindings records 0 at every use.  Each node's plan
+is compiled once per run, with which ``Read`` merges into an earlier decode of
+its (stream, offset) and the order in which its blocks are first decoded, so a
+decode keeps no per-use record.
 """
 
 from __future__ import annotations
@@ -102,11 +104,12 @@ def generate_messages(scheme: Scheme, n_blocks: int, seed: int) -> MessageSet:
     streams = sorted(scheme.message_streams())
     lengths = [scheme.stream_lengths[s] for s in streams]
     width = sum(lengths) or 1  # a block's draws; 1 if all are empty, so each block still has a start
-    bits = _seed_bits(seed, n_blocks * width)
-    blocks, start = {}, 0
+    total = n_blocks * width
+    draws = int(_seed_bits(seed, total)[:total] or "0", 2)
+    blocks, end = {}, 0
     for s, n in zip(streams, lengths):
-        blocks[s] = tuple(int(bits[i:i + n] or "0", 2) for i in range(start, n_blocks * width, width))
-        start += n
+        end += n  # block i of s ends total - end - i * width bits above the last draw
+        blocks[s] = tuple(draws >> shift & (1 << n) - 1 for shift in range(total - end, -end, -width))
     return MessageSet(n_blocks, seed, blocks)
 
 
@@ -270,11 +273,13 @@ def _ground_truth(scheme: Scheme, messages: MessageSet) -> dict[str, list]:
 
 
 def _compile_transmit(scheme: Scheme, stores: list[dict[str, list]], q: int) -> tuple:
-    """Per signal, its sender's bindings as (stream, offset, blocks, right shift, mask, left shift)."""
+    """Per signal with bindings: (SENDERS index, name, (stream, offset, blocks, right shift, mask, left shift)...)."""
     lengths = scheme.stream_lengths
     signals = []
-    for key, node in SENDERS.items():
+    for i, (key, node) in enumerate(SENDERS.items()):
         plan = scheme.transmit[key]
+        if not plan.bindings:
+            continue
         bindings = []
         for b in plan.bindings:
             slot = plan.layout.slot(b.slot)
@@ -283,18 +288,18 @@ def _compile_transmit(scheme: Scheme, stores: list[dict[str, list]], q: int) -> 
             n = min(slot.length, rest)
             bindings.append((b.stream, b.offset, stores[node][b.stream],
                              rest - n, (1 << n) - 1, q - slot.start - n))
-        signals.append((key, tuple(bindings)))
+        signals.append((i, key, tuple(bindings)))
     return tuple(signals)
 
 
-def _compile_decode(scheme: Scheme, node: int, store: dict[str, list], zeros: list, q: int,
+def _compile_decode(scheme: Scheme, plan: tuple, store: dict[str, list], zeros: list, q: int,
                     truth: dict[str, list]) -> tuple:
-    """A node's decode plan as kind-tagged tuples of shifts, masks and block lists, and its decode
+    """A node's decode ``plan`` as kind-tagged tuples of shifts, masks and block lists, and its decode
     keys (offset, stream, blocks, truth) in first-decode order.  A ``Read`` of a (stream, offset)
     an earlier ``Read`` or ``Combine`` decoded merges into it: it fills in only its own bits."""
     lengths = scheme.stream_lengths
     steps, keys = [], {}
-    for step in scheme.decode_plans[node]:
+    for step in plan:
         if isinstance(step, Subtract):
             steps.append((_SUBTRACT, step.offset, step.stream, store[step.stream],
                           lengths[step.stream] - step.length, q - step.pos - step.length))
@@ -317,7 +322,8 @@ def _compile_decode(scheme: Scheme, node: int, store: dict[str, list], zeros: li
 def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunReport]:
     """Execute the scheme for ``n_blocks`` message blocks with fresh messages.
 
-    Needs n_blocks >= 3 so every pipeline stage reaches steady state.
+    Needs n_blocks >= 3 so every pipeline stage reaches steady state.  Only
+    signals with bindings and nodes with a decode plan are compiled and visited.
     Returns the full trace and a report that must show zero errors.
     """
     if n_blocks < 3:
@@ -333,7 +339,8 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
         stores[Scheme.owner(stream)][stream][1:] = messages.blocks[stream]
     zeros = [0] * (n_blocks + 1)
     signals = _compile_transmit(scheme, stores, q)
-    plans = [_compile_decode(scheme, node, stores[node], zeros, q, truth) for node in range(5)]
+    plans = {node: _compile_decode(scheme, plan, stores[node], zeros, q, truth)
+             for node, plan in scheme.decode_plans.items() if plan}
 
     decodes: list[tuple] = []
 
@@ -351,7 +358,10 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
                 continue
             if step[0] == _SUBTRACT:
                 _, _, stream, blocks, head, shift = step
-                work ^= known(blocks, stream, idx, node, t) >> head << shift
+                value = blocks[idx]
+                if value is None:
+                    known(blocks, stream, idx, node, t)
+                work ^= value >> head << shift
             elif step[0] == _READ:
                 _, _, blocks, down, shift, mask, merge = step
                 levels = (work >> down << shift) & mask
@@ -366,14 +376,13 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
             if 1 <= idx <= n_blocks:
                 decodes.append((t, node, stream, idx, blocks[idx] == want[idx]))
 
-    # A node without a plan is skipped; node k's received word is ws[4 + k].
-    forward = [node for node in (0, 1, 2) if plans[node][0]]
-    backward = [node for node in (3, 4) if plans[node][0]]
+    # Only a node with a plan decodes; node k's received word is ws[4 + k].
+    forward = [node for node in (0, 1, 2) if node in plans]
+    backward = [node for node in (3, 4) if node in plans]
     words: list[tuple[int, ...]] = []
     for t in range(1, n_uses + 1):
-        sent = []
-        for key, bindings in signals:
-            word = 0
+        sent = [0, 0, 0, 0]  # a signal without bindings stays 0
+        for i, key, bindings in signals:
             for stream, offset, blocks, down, mask, up in bindings:
                 idx = t + offset
                 if 1 <= idx <= n_blocks:
@@ -382,8 +391,7 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
                         raise SchemeError(
                             f"encoder for {key} needs {stream}[{idx}] at use {t} but it was never stored"
                         )
-                    word ^= (val >> down & mask) << up
-            sent.append(word)
+                    sent[i] ^= (val >> down & mask) << up
         ws = (*sent, *channel_words(params, *sent))
         words.append(ws)
         for node in forward:

@@ -33,7 +33,8 @@ from ldbfn import (
 from ldbfn import cli, fm, schemes
 from ldbfn.fm import enumerate_integer_projection, lexmin_chain, walk_table
 from ldbfn.regions import canonical_region
-from ldbfn.schemes import Subtract, enumerated_points, projected_region
+from ldbfn.gf2 import SignalLayout
+from ldbfn.schemes import Subtract, TransmitPlan, enumerated_points, projected_region
 
 SHOWCASE = ChannelParams(2, 3, 1, 1)
 NETGAIN = ChannelParams(6, 3, 1, 1)
@@ -260,6 +261,23 @@ class TestBuildScheme:
         with pytest.raises(ValueError) as info:
             RateAllocation.of(Regime.A, values)
         assert str(info.value) == f"{name} = {values[name]} is not a non-negative integer value of a regime A variable"
+
+    def test_a_variable_given_twice_is_rejected(self):
+        # Such an allocation used to be made with the last value in xs and both in values.
+        with pytest.raises(ValueError) as info:
+            RateAllocation(Regime.A, (("R1d", 1), ("R1d", 0)))
+        assert str(info.value) == "R1d is given more than once"
+
+    def test_every_empty_signal_shares_one_plan_per_q(self):
+        shared, empty = {}, 0
+        for p, scheme in sample_schemes():
+            assert tuple(scheme.transmit) == ("x1", "x2", "xr", "xf")
+            for key, plan in scheme.transmit.items():
+                if not plan.layout.slots:
+                    assert plan == TransmitPlan(SignalLayout(p.q, ()), ()), (p, key)
+                    assert shared.setdefault(p.q, plan) is plan, (p, key)
+                    empty += 1
+        assert (empty, sorted(shared)) == (1722, [1, 2, 3])
 
     def test_builder_tx_xors_existing_streams_and_rejects_a_moved_slot(self):
         alloc = RateAllocation.of(Regime.A, {})

@@ -29,7 +29,8 @@ from ldbfn import (
     verify_params,
 )
 from ldbfn import simulator
-from ldbfn.schemes import Binding, Combine, Read, Subtract
+from ldbfn.gf2 import SignalLayout, Slot
+from ldbfn.schemes import Binding, Combine, Read, Subtract, TransmitPlan
 
 ERROR_DETAIL_GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "golden" / "dropped_subtract_error_detail.json"
 
@@ -138,6 +139,30 @@ class TestRun:
                     digest.update(trace.dump().encode())
                     digest.update(json.dumps(report.to_jsonable(), sort_keys=True).encode())
         assert digest.hexdigest() == "a40f90e8a9c1ef90f298abca1eba6e1818ea32cf696b8fd89a12b775b0729aed"
+
+    def test_empty_corner_records_all_zero_uses_and_compiles_nothing(self, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(simulator, "_compile_decode", lambda *args: compiled.append(args))
+        for levels in product(range(4), repeat=4):
+            scheme = scheme_for(ChannelParams(*levels), (0, 0))
+            assert simulator._compile_transmit(scheme, [{}] * 5, scheme.params.q) == ()
+            trace, report = run(scheme, n_blocks=5, seed=1)
+            assert trace.words == ((0,) * 9,) * report.n_uses == ((0,) * 9,) * 6, levels
+            assert trace.decodes == report.errors == ()
+        assert compiled == []
+
+    def test_signals_without_bindings_record_zero(self):
+        # A hand-built scheme whose one binding puts the relay's own one-bit stream m0 on its top level.
+        base = scheme_for(ChannelParams(1, 1, 2, 1), (0, 0))
+        q = base.params.q
+        xr = TransmitPlan(SignalLayout(q, (Slot("m", 0, 1),)), (Binding("m", "m0", 0),))
+        scheme = dataclasses.replace(base, stream_lengths={"m0": 1}, sums={}, transmit={**base.transmit, "xr": xr},
+                                     decode_plans={n: () for n in range(5)}, delivered={3: (), 4: ()})
+        trace, report = run(scheme, n_blocks=8, seed=3)
+        sent = generate_messages(scheme, 8, 3).blocks["m0"]
+        assert any(sent) and not report.errors
+        assert [w[:4] for w in trace.words] == [(0, 0, m << q - 1, 0) for m in (*sent, 0)]
+        assert validate_trace(trace.dump())
 
     def test_too_few_blocks_rejected(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (1, 1))
@@ -318,6 +343,10 @@ class TestPrng:
         a = generate_messages(scheme, 5, 7)
         b = generate_messages(scheme, 5, 7)
         assert a.blocks == b.blocks
+
+    def test_zero_blocks_give_empty_tuples(self):
+        scheme = scheme_for(ChannelParams(2, 3, 1, 1), (2, 1))
+        assert generate_messages(scheme, 0, 7).blocks == {s: () for s in scheme.message_streams()}
 
     @staticmethod
     def reference_messages(scheme, n_blocks, seed):
