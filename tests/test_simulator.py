@@ -147,7 +147,7 @@ class TestRun:
             scheme = scheme_for(ChannelParams(*levels), (0, 0))
             assert simulator._compile_transmit(scheme, [{}] * 5, scheme.params.q) == ()
             trace, report = run(scheme, n_blocks=5, seed=1)
-            assert trace.words == ((0,) * 9,) * report.n_uses == ((0,) * 9,) * 6, levels
+            assert report.n_uses == 6 and trace.words == ((0,) * 9,) * 6, levels
             assert trace.decodes == report.errors == ()
         assert compiled == []
 
