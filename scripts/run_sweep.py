@@ -11,21 +11,21 @@ import argparse
 import sys
 import time
 
-from ldbfn.cli import _int_at_least, cmd_sweep
+from ldbfn.cli import _int_flag, cmd_sweep
 from ldbfn.simulator import verify_corner_sweep
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max", type=int, default=5, choices=range(0, 7))
+    parser.add_argument("--max", type=_int_flag(), default=5, choices=range(0, 7))
     parser.add_argument("--out", type=str, default="sweep.csv")
     parser.add_argument("--oracle", action="store_true",
                         help="also run the elimination-vs-enumeration cross-check")
     parser.add_argument("--simulate", action="store_true",
                         help="also run every integer corner through the simulator")
-    parser.add_argument("--blocks", type=_int_at_least(3), default=8,
+    parser.add_argument("--blocks", type=_int_flag(3), default=8,
                         help="message blocks per simulated corner, at least 3")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_int_flag(), default=1)
     args = parser.parse_args()
 
     t0 = time.perf_counter()

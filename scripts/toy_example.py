@@ -17,14 +17,14 @@ from ldbfn import (
     regime_of,
     run,
 )
-from ldbfn.cli import _int_at_least
+from ldbfn.cli import _int_flag
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--blocks", type=_int_at_least(3), default=64,
+    parser.add_argument("--blocks", type=_int_flag(3), default=64,
                         help="message blocks N, at least 3 (default 64)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_int_flag(), default=1)
     args = parser.parse_args()
 
     for nf in (0, 1):

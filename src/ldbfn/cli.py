@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from contextlib import ExitStack, nullcontext
 from dataclasses import asdict
@@ -29,7 +30,6 @@ from .regions import (
     frac_to_json,
     integer_columns,
     integer_points,
-    is_bounded,
     achievable_region,
     outer_bound_region,
     region_to_jsonable,
@@ -51,20 +51,21 @@ def _params(args) -> ChannelParams:
     return ChannelParams(args.nc, args.ns, args.nr, args.nf)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, else a usage error (exit 2)."""
+def _int_flag(low: int | None = None):
+    """argparse type: ASCII digits ``-?[0-9]+``, at least ``low`` if given, else a usage error (exit 2)."""
 
     def parse(text: str) -> int:
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         value = int(text)
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
     return parse
 
 
-_level = _int_at_least(0)
+_level = _int_flag(0)
 
 
 def _input_error(message: object) -> int:
@@ -197,7 +198,7 @@ def cmd_fm_check(args) -> int:
     except InfeasibleSystemError:
         print(json.dumps({"infeasible": True}))
         return 1
-    if not is_bounded(projected):
+    if projected.rays:
         return _input_error(f"{args.system}: the projection onto (R1, R2) is unbounded")
     inside: set[tuple[int, int]] = set()
     for r1, column in integer_columns(projected):
@@ -205,7 +206,7 @@ def cmd_fm_check(args) -> int:
             return _input_error(f"{args.system}: the projection has more than {FM_CHECK_POINT_LIMIT} integer points")
         inside.update((r1, r2) for r2 in column)
     try:
-        oracle = enumerate_integer_projection(system, r1_def, r2_def, bound=args.oracle_bound)
+        oracle = enumerate_integer_projection(system, r1_def, r2_def)
     except EnumerationLimitError as e:
         return _input_error(f"{args.system}: {e}")
     payload = {
@@ -233,18 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one scheme at a target rate pair")
     _add_params(p_sim)
-    p_sim.add_argument("--r1", type=int, required=True, help="target rate of source 1")
-    p_sim.add_argument("--r2", type=int, required=True, help="target rate of source 2")
-    p_sim.add_argument("--blocks", type=_int_at_least(3), default=64,
-                       help="message blocks N, at least 3 (default 64)")
-    p_sim.add_argument("--seed", type=int, default=1, help="message PRNG seed")
+    p_sim.add_argument("--r1", type=_int_flag(), required=True, help="target rate of source 1")
+    p_sim.add_argument("--r2", type=_int_flag(), required=True, help="target rate of source 2")
+    p_sim.add_argument("--blocks", type=_int_flag(3), default=64, help="message blocks N, at least 3 (default 64)")
+    p_sim.add_argument("--seed", type=_int_flag(), default=1, help="message PRNG seed")
     p_sim.add_argument("--trace", type=str, default=None, help="write the full trace to this path")
     p_sim.add_argument("--scheme-json", type=str, default=None,
                        help="write the scheme description (layouts, plans) to this path")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="CSV over the parameter lattice [0,max]^4")
-    p_sweep.add_argument("--max", type=int, default=3, choices=range(0, 7),
+    p_sweep.add_argument("--max", type=_int_flag(), default=3, choices=range(0, 7),
                          help="lattice bound per parameter (default 3, capped at 6)")
     p_sweep.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
     p_sweep.add_argument("--oracle", action="store_true",
@@ -258,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fm = sub.add_parser("fm-check", help="project a fixture system and compare to enumeration")
     p_fm.add_argument("--system", type=str, required=True, help="fixture file path")
-    p_fm.add_argument("--oracle-bound", type=_int_at_least(0), default=None,
-                      help="enumeration bound override (default: max inequality bound)")
     p_fm.set_defaults(fn=cmd_fm_check)
     return parser
 

@@ -293,10 +293,6 @@ def _canonical(rows: tuple[Row, ...]) -> RateRegion:
     return _region(tuple(row for row in rows if facet(*row)))
 
 
-def is_bounded(region: RateRegion) -> bool:
-    return not region.rays
-
-
 def corner_points(region: RateRegion) -> list[RatePoint]:
     """All polytope vertices, walked clockwise from the origin, as a fresh list.
 

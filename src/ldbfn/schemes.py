@@ -166,9 +166,7 @@ def _alloc_rows(regime: Regime) -> list:
 
 
 _CHAINS = {r: lexmin_chain(_SYSTEMS[r][0], _alloc_rows(r)) for r in Regime}
-# What a RateAllocation reads of its regime: each variable's column, and the rows bounded by nf.
-_VIEWS = {r: ({v: i for i, v in enumerate(vars)}, [row for row, form in zip(rows, forms) if form == _NF])
-          for r, (vars, rows, forms, _) in _SYSTEMS.items()}
+_NF_ROWS = {r: [row for row, form in zip(rows, forms) if form == _NF] for r, (_, rows, forms, _) in _SYSTEMS.items()}
 _WALKS = {r: walk_table(_SYSTEMS[r][1], *_SYSTEMS[r][3]) for r in Regime}
 
 
@@ -187,36 +185,35 @@ def enumerated_points(regime: Regime, p: ChannelParams) -> set[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class RateAllocation:
-    """Feasible integer assignment of the regime's component rates.
+    """Integer assignment of the regime's component rates: ``xs`` holds the values in
+    the order of the regime's variables.
 
-    The names and values are checked once, when the instance is made, and a
-    name given twice is rejected; ``xs`` holds the values in the order of the
-    regime's variables, a variable not given read as 0.  ``feedback_levels``,
-    stored beside it, is the number of feedback levels the scheme occupies per
+    :meth:`of` makes one by name, a variable not given read as 0, and checks the
+    names and values; equal vectors are equal allocations however they were
+    spelled.  ``values`` and :meth:`as_dict` name the values, sorted by name.
+    ``feedback_levels`` is the number of feedback levels the scheme occupies per
     use (the extent of its ``xf`` layout): the largest left side among the
     regime's rows bounded by ``nf``, 0 in a regime without one.
     """
 
     regime: Regime
-    values: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        columns, nf_rows = _VIEWS[self.regime]
-        xs = [None] * len(columns)
-        for name, value in self.values:
-            i = columns.get(name)
-            if i is None or type(value) is not int or value < 0:
-                raise ValueError(f"{name} = {value} is not a non-negative integer value of a regime {self.regime.value} variable")
-            if xs[i] is not None:
-                raise ValueError(f"{name} is given more than once")
-            xs[i] = value
-        xs = tuple(x or 0 for x in xs)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "feedback_levels", max((sum(map(mul, row, xs)) for row in nf_rows), default=0))
+    xs: tuple[int, ...]
 
     @classmethod
     def of(cls, regime: Regime, values: Mapping[str, int]) -> "RateAllocation":
-        return cls(regime, tuple(sorted(values.items())))
+        vars = _SYSTEMS[regime][0]
+        for name, value in sorted(values.items()):
+            if name not in vars or type(value) is not int or value < 0:
+                raise ValueError(f"{name} = {value} is not a non-negative integer value of a regime {regime.value} variable")
+        return cls(regime, tuple(values.get(v, 0) for v in vars))
+
+    @property
+    def values(self) -> tuple[tuple[str, int], ...]:
+        return tuple(sorted(zip(_SYSTEMS[self.regime][0], self.xs)))
+
+    @property
+    def feedback_levels(self) -> int:
+        return max((sum(map(mul, row, self.xs)) for row in _NF_ROWS[self.regime]), default=0)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.values)
@@ -249,7 +246,7 @@ def allocate(p: ChannelParams, target: tuple[int, int]) -> RateAllocation:
         values = integer_lexmin(_CHAINS[regime], (p.nc, p.ns, p.nr, p.nf, t1, t2))
     except EmptyIntervalError as e:
         raise SchemeError(f"{e}: no integer allocation reaches {target} for {p} (regime {regime.value})") from None
-    return RateAllocation(regime, tuple(sorted(zip(_SYSTEMS[regime][0], values))))
+    return RateAllocation(regime, tuple(values))
 
 
 def integer_corners(p: ChannelParams) -> list[tuple[int, int]]:
@@ -349,7 +346,8 @@ DecodeStep = Subtract | Read | Combine
 
 @dataclass(frozen=True)
 class Scheme:
-    """A complete executable description of one capacity-achieving code."""
+    """A complete executable description of one capacity-achieving code; ``rates`` and
+    ``delivered`` are read off ``alloc`` and the stream table on access."""
 
     params: ChannelParams
     alloc: RateAllocation
@@ -357,13 +355,21 @@ class Scheme:
     sums: Mapping[str, tuple[str, ...]]
     transmit: Mapping[str, TransmitPlan]
     decode_plans: Mapping[int, tuple[DecodeStep, ...]]
-    delivered: Mapping[int, tuple[str, ...]]
-    rates: tuple[int, int]
     delta: int
 
     @property
     def regime(self) -> Regime:
         return self.alloc.regime
+
+    @property
+    def rates(self) -> tuple[int, int]:
+        return self.alloc.rate_pair()
+
+    @property
+    def delivered(self) -> dict[int, tuple[str, ...]]:
+        """Destination j + 2 delivers source j's message streams."""
+        messages = self.message_streams()
+        return {j + 2: tuple(s for s in messages if self.owner(s) == j) for j in (1, 2)}
 
     @property
     def feedback_levels(self) -> int:
@@ -415,7 +421,6 @@ class _Builder:
     def __init__(self, p: ChannelParams, alloc: RateAllocation):
         self.p = p
         self.alloc = alloc
-        self.rates = alloc.rate_pair()
         self.streams: dict[str, int] = {}
         self.sums: dict[str, tuple[str, ...]] = {}
         self.named: dict[str, dict[str, Slot]] = {"x1": {}, "x2": {}, "xr": {}, "xf": {}}  # SENDERS order
@@ -489,8 +494,6 @@ class _Builder:
         # A's nc row; xf (C and D only) stops at max(R1f, R2f) plus the Rbarf parts, at most nf by
         # the two nf rows.
         look = [1] + [-b.offset for key in ("x1", "x2") for b in self.bindings[key]]
-        # Destination j + 2 delivers source j's message streams.
-        messages = [s for s in self.streams if s not in self.sums]
         return Scheme(
             params=self.p,
             alloc=self.alloc,
@@ -498,8 +501,6 @@ class _Builder:
             sums=self.sums,
             transmit=transmit,
             decode_plans={n: tuple(steps) for n, steps in self.plans.items()},
-            delivered={j + 2: tuple(s for s in messages if Scheme.owner(s) == j) for j in (1, 2)},
-            rates=self.rates,
             delta=max(look),
         )
 

@@ -22,7 +22,7 @@ Blocks are drawn for block index 1..N in order, message streams in sorted
 name order; a block is an int as long as its stream, its first draw (the
 top level) the most significant bit.  So every run with one seed reads a
 prefix of the same bit stream: the draws of the last seed asked are kept as
-one string of "0"/"1", extended on demand; a run reads its prefix as one int
+one int, extended on demand; a run shifts its prefix off the top of that int
 and cuts each block off it, which leaves the bits and their order as above.
 
 Only signals with bindings and nodes with a decode plan are compiled and
@@ -83,21 +83,21 @@ class MessageSet:
     blocks: Mapping[str, tuple[int, ...]]
 
 
-# The last seed asked, its generator's state after ``bits``, and its draws so far as "0"/"1".
-_draws: tuple = (None, 0, "")
+# The last seed asked, its generator's state after ``count`` draws, and those draws as one int.
+_draws: tuple = (None, 0, 0, 0)
 
 
-def _seed_bits(seed: int, n: int) -> str:
-    """At least the first ``n`` draws of ``seed``, extending the kept string if it is shorter."""
+def _seed_word(seed: int, n: int) -> int:
+    """The first ``n`` draws of ``seed`` as an n-bit int, extending the kept draws if they are fewer."""
     global _draws
-    last, state, bits = _draws
+    last, state, word, count = _draws
     if last != seed:
-        state, bits = seed, ""
-    if len(bits) < n:
-        rng, k = XorShift64Star(state), n - len(bits)  # a state after draws is never 0
-        bits += format(rng.word(k), f"0{k}b")
-        _draws = (seed, rng.state, bits)
-    return bits
+        state, word, count = seed, 0, 0
+    if count < n:
+        rng, k = XorShift64Star(state), n - count  # a state after draws is never 0
+        word, count = word << k | rng.word(k), n
+        _draws = (seed, rng.state, word, count)
+    return word >> (count - n)
 
 
 def generate_messages(scheme: Scheme, n_blocks: int, seed: int) -> MessageSet:
@@ -105,7 +105,7 @@ def generate_messages(scheme: Scheme, n_blocks: int, seed: int) -> MessageSet:
     lengths = [scheme.stream_lengths[s] for s in streams]
     width = sum(lengths) or 1  # a block's draws; 1 if all are empty, so each block still has a start
     total = n_blocks * width
-    draws = int(_seed_bits(seed, total)[:total] or "0", 2)
+    draws = _seed_word(seed, total)
     blocks, end = {}, 0
     for s, n in zip(streams, lengths):
         end += n  # block i of s ends total - end - i * width bits above the last draw
@@ -404,8 +404,8 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
 
     errors = [DecodeEvent._make(d) for d in decodes if not d[4]]
     delivered = [0, 0]
-    for dest, j in ((3, 0), (4, 1)):
-        for stream in scheme.delivered[dest]:
+    for j, (dest, streams) in enumerate(scheme.delivered.items()):
+        for stream in streams:
             got, want = stores[dest][stream], truth[stream]
             for i in range(1, n_blocks + 1):
                 if got[i] is None:

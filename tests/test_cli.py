@@ -38,6 +38,31 @@ def assert_error_line(code, out, err):
     assert err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
 
 
+# One valid command per integer flag, the flag followed by its value.
+INTEGER_FLAGS = {
+    **dict.fromkeys(["--nc", "--ns", "--nr", "--nf"], ["region", "--nc", "2", "--ns", "3", "--nr", "1", "--nf", "1"]),
+    "--nf-max": ["netgain", "--nc", "2", "--ns", "3", "--nr", "1", "--nf-max", "1"],
+    **dict.fromkeys(["--r1", "--r2", "--blocks", "--seed"], [
+        "simulate", "--nc", "2", "--ns", "3", "--nr", "1", "--r1", "1", "--r2", "1", "--blocks", "3", "--seed", "1"]),
+    "--max": ["sweep", "--max", "0"],
+}
+
+
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "+1", " 2"])
+def test_integer_flags_read_ascii_digits_only(capsys, flag, text):
+    argv = list(INTEGER_FLAGS[flag])
+    argv[argv.index(flag) + 1] = text
+    err = assert_usage_error(capsys, *argv)
+    assert f"argument {flag}: invalid int value: {text!r}" in err
+
+
+def test_integer_flags_take_a_leading_minus(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--nc", "2", "--ns", "3", "--nr", "1",
+                           "--r1", "0", "--r2", "-1", "--seed", "-5")
+    assert code == 1 and "outside the achievable region" in err
+
+
 class TestRegion:
     def test_showcase_with_feedback(self, capsys):
         code, out, _ = run_cli(capsys, "region", "--nc", "2", "--ns", "3", "--nr", "1", "--nf", "1")
@@ -353,10 +378,11 @@ class TestFmCheck:
         code, out, _ = run_cli(capsys, "fm-check", "--system", str(fixture))
         assert code == 0 and len(json.loads(out)["oracle_points"]) == cli.FM_CHECK_POINT_LIMIT
 
-    def test_negative_oracle_bound_is_usage_error(self, capsys):
+    def test_oracle_bound_is_usage_error(self, capsys):
+        # The oracle's bound is always the largest inequality bound, which is exact for the fixture grammar.
         err = assert_usage_error(
             capsys, "fm-check", "--system", str(FIXTURES / "regime_a_nc2_ns1_nr3.txt"),
-            "--oracle-bound", "-1",
+            "--oracle-bound", "5",
         )
         assert "--oracle-bound" in err
 

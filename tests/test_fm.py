@@ -25,7 +25,7 @@ from ldbfn import (
 )
 from ldbfn import fm
 from ldbfn.fm import EmptyIntervalError, EnumerationLimitError
-from ldbfn.regions import Halfspace, RateRegion, canonicalize, hs, is_bounded
+from ldbfn.regions import Halfspace, RateRegion, canonicalize, hs
 
 
 def ineq(coeffs, bound):
@@ -362,7 +362,7 @@ class TestHistoryPruning:
             if expected == "infeasible":
                 kinds["infeasible"] += 1
             else:
-                kinds["bounded" if is_bounded(RateRegion(expected)) else "unbounded"] += 1
+                kinds["unbounded" if RateRegion(expected).rays else "bounded"] += 1
         assert min(kinds.values()) >= 50, kinds
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -262,11 +263,21 @@ class TestBuildScheme:
             RateAllocation.of(Regime.A, values)
         assert str(info.value) == f"{name} = {values[name]} is not a non-negative integer value of a regime A variable"
 
-    def test_a_variable_given_twice_is_rejected(self):
-        # Such an allocation used to be made with the last value in xs and both in values.
-        with pytest.raises(ValueError) as info:
-            RateAllocation(Regime.A, (("R1d", 1), ("R1d", 0)))
-        assert str(info.value) == "R1d is given more than once"
+    def test_an_allocation_is_its_vector(self):
+        assert [f.name for f in dataclasses.fields(RateAllocation)] == ["regime", "xs"]
+        assert [f.name for f in dataclasses.fields(schemes.Scheme)] == [
+            "params", "alloc", "stream_lengths", "sums", "transmit", "decode_plans", "delta"]
+        assert RateAllocation.of(Regime.A, {"Rc1": 1}) == RateAllocation(Regime.A, (0, 0, 0, 1))
+        allocations = 0
+        for tup in product(range(4), repeat=4):
+            p = ChannelParams(*tup)
+            for point in integer_points(achievable_region(p)):
+                a = allocate(p, point)
+                assert RateAllocation.of(a.regime, a.as_dict()) == a, (tup, point)
+                assert a.values == tuple(sorted(zip(constraint_system(a.regime, p).vars, a.xs))), (tup, point)
+                assert a.rate_pair() == point, (tup, point)
+                allocations += 1
+        assert allocations > 1000
 
     def test_every_empty_signal_shares_one_plan_per_q(self):
         shared, empty = {}, 0
@@ -422,7 +433,7 @@ def feasible_allocations(regime, p):
                 yield (v, *rest)
 
     for xs in walk(0, schemes._bounds(regime, p)):
-        yield RateAllocation.of(regime, dict(zip(vars, xs)))
+        yield RateAllocation(regime, xs)
 
 
 def frontier_failures(max_level):

@@ -157,7 +157,7 @@ class TestRun:
         q = base.params.q
         xr = TransmitPlan(SignalLayout(q, (Slot("m", 0, 1),)), (Binding("m", "m0", 0),))
         scheme = dataclasses.replace(base, stream_lengths={"m0": 1}, sums={}, transmit={**base.transmit, "xr": xr},
-                                     decode_plans={n: () for n in range(5)}, delivered={3: (), 4: ()})
+                                     decode_plans={n: () for n in range(5)})
         trace, report = run(scheme, n_blocks=8, seed=3)
         sent = generate_messages(scheme, 8, 3).blocks["m0"]
         assert any(sent) and not report.errors
@@ -366,13 +366,13 @@ class TestPrng:
                     assert got.blocks == self.reference_messages(scheme, n_blocks, seed), (n_blocks, seed)
 
     def test_short_run_after_a_long_one(self, monkeypatch):
-        # The second run slices its draws off the front of the long run's string.
+        # The second run shifts its draws off the top of the long run's int.
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (2, 1))
         run(scheme, n_blocks=2048, seed=1)
-        assert len(simulator._draws[2]) >= 2048 * 3  # three one-bit message streams
+        assert simulator._draws[3] >= 2048 * 3  # three one-bit message streams
         trace, report = run(scheme, n_blocks=3, seed=1)
         assert generate_messages(scheme, 3, 1).blocks == self.reference_messages(scheme, 3, 1)
-        monkeypatch.setattr(simulator, "_draws", (None, 0, ""))
+        monkeypatch.setattr(simulator, "_draws", (None, 0, 0, 0))
         assert run(scheme, n_blocks=3, seed=1) == (trace, report) and not report.errors
 
 
