@@ -34,7 +34,7 @@ def main() -> None:
 
     p = ChannelParams(2, 3, 1, 1)
     scheme = build_scheme(p, allocate(p, (2, 1)))
-    print(f"corner (2,1): allocation={dict(scheme.alloc.values)} "
+    print(f"corner (2,1): allocation={scheme.alloc.as_dict()} "
           f"delta={scheme.delta} feedback_levels={scheme.feedback_levels}")
     trace, report = run(scheme, n_blocks=args.blocks, seed=args.seed)
     print(json.dumps(report.to_jsonable(), indent=2))

@@ -51,7 +51,7 @@ from typing import Mapping, NamedTuple
 
 from .fm import (EmptyIntervalError, IneqSystem, LinearIneq, evaluate_projection, integer_lexmin, lexmin_chain,
                  walk_points, walk_table, with_rates)
-from .gf2 import ChannelParams, SignalLayout, Slot, gain, land
+from .gf2 import SENDERS, ChannelParams, SignalLayout, Slot, gain, land
 from .regions import (RateRegion, Regime, applicable_regimes, achievable_region, hs,
                       outer_bound_region, regime_of, sum_capacity)
 
@@ -183,14 +183,23 @@ def enumerated_points(regime: Regime, p: ChannelParams) -> set[tuple[int, int]]:
     return walk_points(_WALKS[regime], bounds, max([0, *bounds]))
 
 
+def _check_entries(regime: Regime, pairs) -> None:
+    """Raise ``ValueError`` at the first (name, value) pair that is not a non-negative int of a regime variable."""
+    vars = _SYSTEMS[regime][0]
+    for name, value in pairs:
+        if name not in vars or type(value) is not int or value < 0:
+            raise ValueError(f"{name} = {value} is not a non-negative integer value of a regime {regime.value} variable")
+
+
 @dataclass(frozen=True)
 class RateAllocation:
     """Integer assignment of the regime's component rates: ``xs`` holds the values in
     the order of the regime's variables.
 
-    :meth:`of` makes one by name, a variable not given read as 0, and checks the
-    names and values; equal vectors are equal allocations however they were
-    spelled.  ``values`` and :meth:`as_dict` name the values, sorted by name.
+    A vector of the wrong length or with an entry that is not a non-negative int raises
+    ``ValueError``; :meth:`of` makes one by name, a variable not given read as 0.  Equal
+    vectors are equal allocations however they were spelled.  :meth:`as_dict` names
+    the values, sorted by name.
     ``feedback_levels`` is the number of feedback levels the scheme occupies per
     use (the extent of its ``xf`` layout): the largest left side among the
     regime's rows bounded by ``nf``, 0 in a regime without one.
@@ -199,24 +208,24 @@ class RateAllocation:
     regime: Regime
     xs: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        vars = _SYSTEMS[self.regime][0]
+        if len(self.xs) != len(vars):
+            raise ValueError(f"regime {self.regime.value} has {len(vars)} variables {vars}, got {len(self.xs)} values")
+        if {*map(type, self.xs)} != {int} or min(self.xs) < 0:  # a cheap test first; the loop names the entry
+            _check_entries(self.regime, zip(vars, self.xs))
+
     @classmethod
     def of(cls, regime: Regime, values: Mapping[str, int]) -> "RateAllocation":
-        vars = _SYSTEMS[regime][0]
-        for name, value in sorted(values.items()):
-            if name not in vars or type(value) is not int or value < 0:
-                raise ValueError(f"{name} = {value} is not a non-negative integer value of a regime {regime.value} variable")
-        return cls(regime, tuple(values.get(v, 0) for v in vars))
-
-    @property
-    def values(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(zip(_SYSTEMS[self.regime][0], self.xs)))
+        _check_entries(regime, sorted(values.items()))
+        return cls(regime, tuple(values.get(v, 0) for v in _SYSTEMS[regime][0]))
 
     @property
     def feedback_levels(self) -> int:
         return max((sum(map(mul, row, self.xs)) for row in _NF_ROWS[self.regime]), default=0)
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
+        return dict(sorted(zip(_SYSTEMS[self.regime][0], self.xs)))
 
     def rate_pair(self) -> tuple[int, int]:
         r1, r2 = _SYSTEMS[self.regime][3]
@@ -346,8 +355,9 @@ DecodeStep = Subtract | Read | Combine
 
 @dataclass(frozen=True)
 class Scheme:
-    """A complete executable description of one capacity-achieving code; ``rates`` and
-    ``delivered`` are read off ``alloc`` and the stream table on access."""
+    """A complete executable description of one capacity-achieving code; ``rates``,
+    ``delivered`` and ``delta`` are read off ``alloc``, the stream table and the
+    sources' bindings on access."""
 
     params: ChannelParams
     alloc: RateAllocation
@@ -355,7 +365,6 @@ class Scheme:
     sums: Mapping[str, tuple[str, ...]]
     transmit: Mapping[str, TransmitPlan]
     decode_plans: Mapping[int, tuple[DecodeStep, ...]]
-    delta: int
 
     @property
     def regime(self) -> Regime:
@@ -376,8 +385,10 @@ class Scheme:
         """Feedback levels occupied per use (the r_f of net-gain accounting)."""
         return self.alloc.feedback_levels
 
-    def n_uses(self, n_blocks: int) -> int:
-        return n_blocks + self.delta
+    @property
+    def delta(self) -> int:
+        """Channel uses past the N blocks: the sources' furthest look back, at least 1."""
+        return max([1] + [-b.offset for key in ("x1", "x2") for b in self.transmit[key].bindings])
 
     def message_streams(self) -> tuple[str, ...]:
         return tuple(s for s in self.stream_lengths if s not in self.sums)
@@ -396,7 +407,7 @@ class Scheme:
         return {
             "params": {**asdict(self.params), "q": self.params.q},
             "regime": self.regime.value,
-            "allocation": dict(self.alloc.values),
+            "allocation": self.alloc.as_dict(),
             "rates": list(self.rates),
             "delta": self.delta,
             "feedback_levels": self.feedback_levels,
@@ -423,9 +434,9 @@ class _Builder:
         self.alloc = alloc
         self.streams: dict[str, int] = {}
         self.sums: dict[str, tuple[str, ...]] = {}
-        self.named: dict[str, dict[str, Slot]] = {"x1": {}, "x2": {}, "xr": {}, "xf": {}}  # SENDERS order
-        self.bindings: dict[str, list[Binding]] = {"x1": [], "x2": [], "xr": [], "xf": []}
-        self.overlaps: dict[str, set[frozenset[str]]] = {"x1": set(), "x2": set(), "xr": set(), "xf": set()}
+        self.named: dict[str, dict[str, Slot]] = {key: {} for key in SENDERS}
+        self.bindings: dict[str, list[Binding]] = {key: [] for key in SENDERS}
+        self.overlaps: dict[str, set[frozenset[str]]] = {key: set() for key in SENDERS}
         self.plans: dict[int, list[DecodeStep]] = {0: [], 1: [], 2: [], 3: [], 4: []}
 
     def stream(self, name: str, length: int) -> None:
@@ -493,7 +504,6 @@ class _Builder:
         # construction, and A's lowest one (csum_lo) at nr - nc + Rc1 + 2*Rc2 + R1d + R2d <= nr by
         # A's nc row; xf (C and D only) stops at max(R1f, R2f) plus the Rbarf parts, at most nf by
         # the two nf rows.
-        look = [1] + [-b.offset for key in ("x1", "x2") for b in self.bindings[key]]
         return Scheme(
             params=self.p,
             alloc=self.alloc,
@@ -501,7 +511,6 @@ class _Builder:
             sums=self.sums,
             transmit=transmit,
             decode_plans={n: tuple(steps) for n, steps in self.plans.items()},
-            delta=max(look),
         )
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, NamedTuple
 
-from .gf2 import SENDERS, BitVector, ChannelParams, NetworkInputs, NetworkOutputs, channel_step, channel_words
+from .gf2 import SENDERS, BitVector, ChannelParams, NetworkInputs, NetworkOutputs, channel_words
 from .regions import Regime, frac_to_json
 from .schemes import (
     Read,
@@ -128,9 +128,9 @@ class TraceStep:
     outputs: NetworkOutputs
 
 
-# One use's dump lines: the four signals in SENDERS order, then node k's received word.
-_DUMP_USE = "\n".join([f"use={{0}} node={node} {key}={{{i}}}" for i, (key, node) in enumerate(SENDERS.items(), 1)]
-                      + [f"use={{0}} node={k} y{k}={{{k + 5}}}" for k in range(5)])
+# A use's words: the four signals in SENDERS order, then node k's received word yk; and their dump lines.
+_WORDS = (*SENDERS, "y0", "y1", "y2", "y3", "y4")
+_DUMP_USE = "\n".join(f"use={{0}} node={SENDERS.get(w, w[1:])} {w}={{{i}}}" for i, w in enumerate(_WORDS, 1))
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,8 @@ class Trace:
     word at index 4 + k; level 1 is the most significant bit.  ``decodes``
     holds every decode as a plain ``(use, node, stream, block, ok)`` tuple, in
     the order the nodes decoded.  ``steps`` and ``events`` rebuild the uses as
-    vectors and the decodes as :class:`DecodeEvent` on access.
+    vectors and the decodes as :class:`DecodeEvent` on access, and
+    :func:`parse_trace` reads a :meth:`dump` back into the equal ``Trace``.
     """
 
     params: ChannelParams
@@ -180,44 +181,41 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def parse_trace(text: str) -> tuple[dict, dict[tuple[int, str], BitVector], list[tuple]]:
-    """Parse a trace dump back into header fields, signals and decode events."""
-    header: dict = {}
-    signals: dict[tuple[int, str], BitVector] = {}
-    events: list[tuple] = []
+def parse_trace(text: str) -> Trace:
+    """The inverse of :meth:`Trace.dump`; blank and other ``#`` lines are skipped.
+
+    Raises ``ValueError`` for a word that is not q characters 0 or 1 and for a use that lacks a word.
+    """
+    uses: dict[int, list] = {}
+    decodes: list[tuple] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("# params"):
-                for tok in line[len("# params"):].split():
-                    k, _, v = tok.partition("=")
-                    header[k] = int(v)
+        if line.startswith("# params"):
+            header = {k: int(v) for k, _, v in (tok.partition("=") for tok in line.split()[2:])}
+            params = ChannelParams(header["nc"], header["ns"], header["nr"], header["nf"])
+        if not line or line.startswith("#"):
             continue
         fields = line.split()
         use = int(fields[0].split("=")[1])
         node = int(fields[1].split("=")[1])
         if fields[2] == "decode":
             stream, _, rest = fields[3].partition("[")
-            events.append((use, node, stream, int(rest.rstrip("]")), fields[4] == "ok"))
+            decodes.append((use, node, stream, int(rest.rstrip("]")), fields[4] == "ok"))
         else:
             sig, _, bits = fields[2].partition("=")
-            signals[(use, sig)] = BitVector.from_string(bits)
-    return header, signals, events
+            if len(bits) != params.q:
+                raise ValueError(f"{sig} at use {use} has {len(bits)} levels, not q={params.q}")
+            uses.setdefault(use, [None] * 9)[_WORDS.index(sig)] = BitVector.from_string(bits).word
+    words = tuple(tuple(uses.get(t, [None] * 9)) for t in range(1, len(uses) + 1))
+    if missing := [(t, _WORDS[ws.index(None)]) for t, ws in enumerate(words, 1) if None in ws]:
+        raise ValueError("use {} has no {} word".format(*missing[0]))
+    return Trace(params, header["N"], header["seed"], header["delta"], words, tuple(decodes))
 
 
 def validate_trace(text: str) -> bool:
-    """Re-run the channel on a dumped trace: outputs must match at every use."""
-    header, signals, _ = parse_trace(text)
-    params = ChannelParams(header["nc"], header["ns"], header["nr"], header["nf"])
-    uses = sorted({t for (t, _) in signals})
-    for t in uses:
-        outs = channel_step(NetworkInputs(**{key: signals[(t, key)] for key in SENDERS}), params)
-        for name in ("y0", "y1", "y2", "y3", "y4"):
-            if signals[(t, name)] != getattr(outs, name):
-                return False
-    return True
+    """Re-run the channel on a dumped trace: every use's received words must match its sent ones."""
+    t = parse_trace(text)
+    return all(ws[4:] == channel_words(t.params, *ws[:4]) for ws in t.words)
 
 
 @dataclass(frozen=True)
@@ -230,10 +228,13 @@ class RunReport:
     target: tuple[int, int]
     n_blocks: int
     delta: int
-    n_uses: int
     errors: tuple[DecodeEvent, ...]
     delivered_bits: tuple[int, int]
     feedback_levels: int
+
+    @property
+    def n_uses(self) -> int:
+        return self.n_blocks + self.delta
 
     @property
     def achieved(self) -> tuple[Fraction, Fraction]:
@@ -330,7 +331,8 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
         raise ValueError("need at least 3 blocks to exercise the pipeline")
     messages = generate_messages(scheme, n_blocks, seed)
     truth = _ground_truth(scheme, messages)
-    n_uses = scheme.n_uses(n_blocks)
+    delta = scheme.delta
+    n_uses = n_blocks + delta
     params = scheme.params
     q = params.q
 
@@ -413,25 +415,10 @@ def run(scheme: Scheme, n_blocks: int = 16, seed: int = 1) -> tuple[Trace, RunRe
                 elif got[i] == want[i]:
                     delivered[j] += scheme.stream_lengths[stream]
 
-    trace = Trace(
-        params=params,
-        n_blocks=n_blocks,
-        seed=seed,
-        delta=scheme.delta,
-        words=tuple(words),
-        decodes=tuple(decodes),
-    )
-    report = RunReport(
-        params=params,
-        regime=scheme.regime,
-        target=scheme.rates,
-        n_blocks=n_blocks,
-        delta=scheme.delta,
-        n_uses=n_uses,
-        errors=tuple(errors),
-        delivered_bits=(delivered[0], delivered[1]),
-        feedback_levels=scheme.feedback_levels,
-    )
+    trace = Trace(params=params, n_blocks=n_blocks, seed=seed, delta=delta, words=tuple(words), decodes=tuple(decodes))
+    report = RunReport(params=params, regime=scheme.regime, target=scheme.rates, n_blocks=n_blocks, delta=delta,
+                       errors=tuple(errors), delivered_bits=(delivered[0], delivered[1]),
+                       feedback_levels=scheme.feedback_levels)
     return trace, report
 
 

@@ -44,7 +44,7 @@ SCHEMES_GOLDEN = ALLOCATE_GOLDEN.with_name("schemes_max4.txt")
 
 
 def nonzero(alloc):
-    return {k: v for k, v in alloc.values if v}
+    return {k: v for k, v in alloc.as_dict().items() if v}
 
 
 def occupied_extent(layout):
@@ -263,10 +263,27 @@ class TestBuildScheme:
             RateAllocation.of(Regime.A, values)
         assert str(info.value) == f"{name} = {values[name]} is not a non-negative integer value of a regime A variable"
 
+    @pytest.mark.parametrize("xs, message", [
+        ((1,), "regime A has 4 variables ('R1d', 'R2d', 'Rc2', 'Rc1'), got 1 values"),
+        ((0, 0, 0, 0, 0), "regime A has 4 variables ('R1d', 'R2d', 'Rc2', 'Rc1'), got 5 values"),
+        ((0, 0, 0, -1), "Rc1 = -1 is not a non-negative integer value of a regime A variable"),
+        ((0, True, 0, 0), "R2d = True is not a non-negative integer value of a regime A variable"),
+    ], ids=["short", "long", "negative", "bool"])
+    def test_a_vector_of_the_wrong_length_or_with_a_bad_entry_is_rejected(self, xs, message):
+        with pytest.raises(ValueError) as info:
+            RateAllocation(Regime.A, xs)
+        assert str(info.value) == message
+
+    def test_delta_is_read_off_the_sources_bindings(self):
+        scheme = build_scheme(NETGAIN, allocate(NETGAIN, (2, 2)))
+        assert scheme.delta == 2
+        empty = TransmitPlan(SignalLayout(NETGAIN.q, ()), ())
+        assert dataclasses.replace(scheme, transmit={**scheme.transmit, "x1": empty, "x2": empty}).delta == 1
+
     def test_an_allocation_is_its_vector(self):
         assert [f.name for f in dataclasses.fields(RateAllocation)] == ["regime", "xs"]
         assert [f.name for f in dataclasses.fields(schemes.Scheme)] == [
-            "params", "alloc", "stream_lengths", "sums", "transmit", "decode_plans", "delta"]
+            "params", "alloc", "stream_lengths", "sums", "transmit", "decode_plans"]
         assert RateAllocation.of(Regime.A, {"Rc1": 1}) == RateAllocation(Regime.A, (0, 0, 0, 1))
         allocations = 0
         for tup in product(range(4), repeat=4):
@@ -274,7 +291,7 @@ class TestBuildScheme:
             for point in integer_points(achievable_region(p)):
                 a = allocate(p, point)
                 assert RateAllocation.of(a.regime, a.as_dict()) == a, (tup, point)
-                assert a.values == tuple(sorted(zip(constraint_system(a.regime, p).vars, a.xs))), (tup, point)
+                assert [*a.as_dict().items()] == sorted(zip(constraint_system(a.regime, p).vars, a.xs)), (tup, point)
                 assert a.rate_pair() == point, (tup, point)
                 allocations += 1
         assert allocations > 1000

@@ -255,20 +255,38 @@ class TestNegativeControls:
                 steps = trace.steps
                 assert [step.use for step in steps] == list(range(1, len(steps) + 1))
                 assert all(channel_step(step.inputs, p) == step.outputs for step in steps)
+                assert parse_trace(trace.dump()) == trace
                 assert validate_trace(trace.dump())
 
 
 class TestTrace:
     def test_dump_round_trips_and_channel_checks(self):
         scheme = scheme_for(ChannelParams(2, 3, 1, 1), (2, 1))
-        trace, _ = run(scheme, n_blocks=8, seed=4)
+        trace, report = run(scheme, n_blocks=8, seed=4)
         text = trace.dump()
-        header, signals, events = parse_trace(text)
-        assert header["nc"] == 2 and header["N"] == 8 and header["delta"] == 2
-        assert len({t for t, _ in signals}) == 10
+        parsed = parse_trace(text)
+        assert parsed == parse_trace(text.replace("\n", "\n\n", 3) + "# a comment\n") == trace
+        assert (parsed.params, parsed.n_blocks, parsed.delta, parsed.seed) == (ChannelParams(2, 3, 1, 1), 8, 2, 4)
+        assert len(parsed.words) == report.n_uses == 10 and all(len(ws) == 9 for ws in parsed.words)
         assert validate_trace(text)
         assert validate_trace(text.replace("\n", "\n\n", 3))  # blank lines are skipped
-        assert all(ok for *_, ok in events)
+        assert all(e.ok for e in parsed.events)
+
+    @pytest.mark.parametrize("prefix", ["use=3 node=1 x1=", "use=3 node=3 y3="])
+    @pytest.mark.parametrize("levels", ["0", "0000"])
+    def test_a_word_of_the_wrong_length_is_rejected(self, prefix, levels):
+        # q = 3: a word one level too short and one too long, of a sent and of a received signal.
+        trace, _ = run(scheme_for(ChannelParams(2, 3, 1, 1), (2, 1)), n_blocks=8, seed=4)
+        lines = [prefix + levels if line.startswith(prefix) else line for line in trace.dump().splitlines()]
+        with pytest.raises(ValueError) as info:
+            validate_trace("\n".join(lines))
+        assert str(info.value) == f"{prefix.split()[2][:-1]} at use 3 has {len(levels)} levels, not q=3"
+
+    def test_a_use_without_a_word_is_rejected(self):
+        trace, _ = run(scheme_for(ChannelParams(2, 3, 1, 1), (2, 1)), n_blocks=8, seed=4)
+        lines = [line for line in trace.dump().splitlines() if not line.startswith("use=4 node=0 xf=")]
+        with pytest.raises(ValueError, match="^use 4 has no xf word$"):
+            parse_trace("\n".join(lines))
 
     @pytest.mark.parametrize("prefix", ["use=3 node=3 y3=", "use=3 node=1 x1="])
     def test_one_flipped_bit_fails_the_channel_check(self, prefix):
@@ -286,8 +304,8 @@ class TestTrace:
         plans = {**scheme.decode_plans, 0: tuple(s for s in scheme.decode_plans[0] if s != drop)}
         for s in (scheme, dataclasses.replace(scheme, decode_plans=plans)):
             trace, _ = run(s, n_blocks=8, seed=3)
-            _, _, events = parse_trace(trace.dump())
-            assert trace.events == tuple(events) and len(events) > 0
+            parsed = parse_trace(trace.dump())
+            assert parsed.events == trace.events and len(parsed.decodes) > 0
             assert all(type(e) is simulator.DecodeEvent for e in trace.events)
         assert not all(e.ok for e in trace.events)
 
